@@ -58,7 +58,6 @@ from .weyl import (
     degenerate_product,
     difference_extract,
     extract_stirling,
-    nf_multiply,
 )
 
 __version__ = "0.1.0"

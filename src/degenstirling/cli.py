@@ -302,6 +302,8 @@ def cmd_verify(args) -> int:
             checks.extend(_suite_recurrence(args.max_n, args.max_r))
         elif name == "dobinski":
             checks.extend(_suite_dobinski(args.max_n, args.max_r, args.max_s, args.tol))
+    if not checks:
+        raise UsageError(f"suite {args.suite!r} selects no checks with these bounds")
     passed = all(c["pass"] for c in checks)
     print(canonical_json({"suite": args.suite, "pass": passed, "checks": checks}))
     return 0 if passed else 1

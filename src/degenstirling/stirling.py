@@ -171,8 +171,8 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
         sign = -1 if p % 2 else 1
         total = total + (sign * comb(k, p)) * prod
     val = total * Fraction((-1) ** k, factorial(k))
-    if k > n * s:
-        assert val.is_zero(), "alternating sum failed to vanish beyond n*s"
+    if k > n * s and not val.is_zero():
+        raise ArithmeticError("alternating sum failed to vanish beyond n*s")
     return val
 
 

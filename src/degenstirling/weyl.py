@@ -7,6 +7,13 @@ LambdaPoly.  Products are renormalised with the closed-form reordering
     a^j (a+)^i = sum_m m! C(j, m) C(i, m) (a+)^(i-m) a^(j-m),
 
 which is what repeated single swaps a a+ -> a+ a + 1 collapse to.
+
+NormalForm multiplication is the general engine: it multiplies any two
+normal forms and serves as the reference the specialised engine is tested
+against.  degenerate_product uses the same reordering formula, but its
+product lives on one diagonal (i - j fixed by the number of factors) and
+has integer coefficients in l, so it absorbs one factor at a time into a
+row indexed by the annihilation power, in plain int arithmetic.
 """
 
 from __future__ import annotations
@@ -15,12 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import LAMBDA, LambdaPoly, falling_scalar
+from .algebra import LambdaPoly, falling_scalar
 
 __all__ = [
     "NormalForm",
     "MonomialImage",
-    "nf_multiply",
     "degenerate_product",
     "extract_stirling",
     "apply_to_monomial",
@@ -147,11 +153,6 @@ class NormalForm:
         return f"NormalForm({{{body}}})"
 
 
-def nf_multiply(left: NormalForm, right: NormalForm) -> NormalForm:
-    """Product of two normal forms, renormalised term by term."""
-    return left * right
-
-
 class MonomialImage:
     """Image of a single monomial x^p under an operator in the differential
     realisation a = d/dx, a+ = (multiply by x): exponent -> coefficient."""
@@ -194,20 +195,45 @@ class MonomialImage:
         return f"MonomialImage({{{body}}})"
 
 
+def _absorb(src: list, weight: int, dst: list, shift: int):
+    """dst += weight * l^shift * src, for coefficient lists ascending in l."""
+    for d, c in enumerate(src, shift):
+        dst[d] += weight * c
+
+
 @lru_cache(maxsize=None)
 def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     """Normal form of the product over k = 0..n-1 of
-    ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost."""
+    ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost.
+
+    After m factors every term is (a+)^(m(r-s)+j) a^j, so the running
+    product is a row indexed by j whose entries are int coefficient lists
+    in l.  Multiplying on the right by factor k reorders a^j past the
+    creation powers with weights t! C(j, t) C(., t): the (a+)^r a^s term
+    sends j to j - t + s, and the -k l (a+)^(r-s) term sends j to j - t,
+    one power of l up and scaled by -k."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
     _require(
         isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
         f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
     )
-    acc = NormalForm.identity()
+    row = [[1]]
     for k in range(n):
-        factor = NormalForm({(r, s): 1, (r - s, 0): -k * LAMBDA})
-        acc = acc * factor
-    return acc
+        # factor k raises the l-degree to at most k
+        new = [[0] * (k + 1) for _ in range(len(row) + s)]
+        for j, coeffs in enumerate(row):
+            for t in range(min(j, r) + 1):
+                w = factorial(t) * comb(j, t) * comb(r, t)
+                _absorb(coeffs, w, new[j - t + s], 0)
+            if k:
+                for t in range(min(j, r - s) + 1):
+                    w = factorial(t) * comb(j, t) * comb(r - s, t)
+                    _absorb(coeffs, -k * w, new[j - t], 1)
+        row = new
+    shift = n * (r - s)
+    return NormalForm(
+        {(shift + j, j): LambdaPoly(coeffs) for j, coeffs in enumerate(row) if any(coeffs)}
+    )
 
 
 def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:

@@ -167,6 +167,15 @@ def test_verify_dobinski_suite(capsys):
     assert any(c["identity"].startswith("gamma-ratio") for c in doc["checks"])
 
 
+def test_verify_with_no_checks_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, ["verify", "--suite", "oracles", "--max-n", "0", "--max-r", "0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_fails_loudly(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_suite_recurrence", lambda *a: [cli._check("forced", False)]

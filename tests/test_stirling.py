@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degenstirling import stirling
 from degenstirling.algebra import LAMBDA, LambdaPoly, X, XPoly
 from degenstirling.stirling import (
     BasisCoeffs,
@@ -123,6 +124,19 @@ def test_rs_vanishes_beyond_ns():
             for s in range(1, r + 1):
                 for k in range(n * s + 1, n * s + 5):
                     assert stirling_rs_degenerate(n, k, r, s).is_zero()
+
+
+def test_rs_nonvanishing_beyond_ns_raises(monkeypatch):
+    # a falling factorial that is not a polynomial in p breaks the
+    # vanishing of the alternating sum; the check must survive python -O
+    real = stirling.falling_scalar
+    monkeypatch.setattr(stirling, "falling_scalar", lambda a, k: real(a, k) + (a == 0))
+    stirling_rs_degenerate.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            stirling_rs_degenerate(1, 2, 1, 1)
+    finally:
+        stirling_rs_degenerate.cache_clear()
 
 
 def test_rs_validates_arguments():

@@ -14,7 +14,6 @@ from degenstirling.weyl import (
     degenerate_product,
     difference_extract,
     extract_stirling,
-    nf_multiply,
 )
 
 from .oracles import normal_order_letters, normal_order_power, normal_order_word
@@ -81,7 +80,7 @@ def test_product_is_associative(u, v, w):
         return out
 
     a, b, c = nf_of(u), nf_of(v), nf_of(w)
-    assert nf_multiply(nf_multiply(a, b), c) == nf_multiply(a, nf_multiply(b, c))
+    assert (a * b) * c == a * (b * c)
 
 
 def test_degenerate_product_simplest_case():
@@ -107,7 +106,7 @@ def test_degenerate_product_lambda_zero_is_plain_power():
     # at l = 0 the k-dependence drops out and the product collapses to
     # ((c^dag)^r a^s)^n
     base = NormalForm.ladder(2, 1)
-    power = nf_multiply(nf_multiply(base, base), base)
+    power = base * base * base
     assert degenerate_product(3, 2, 1).at_lambda(0) == power
 
 
@@ -117,6 +116,20 @@ def test_degenerate_product_matches_rewriting_oracle():
         assert degenerate_product(n, r, s).at_lambda(0).terms == {
             key: LambdaPoly.constant(c) for key, c in expected.items()
         }
+
+
+def test_degenerate_product_matches_general_product():
+    # the diagonal engine against a plain fold of NormalForm products,
+    # with the full l-dependence of every coefficient
+    for n in range(1, 9):
+        for r in range(1, 6):
+            for s in range(1, r + 1):
+                expected = NormalForm.identity()
+                for k in range(n):
+                    expected = expected * NormalForm({(r, s): 1, (r - s, 0): -k * LAMBDA})
+                nf = degenerate_product(n, r, s)
+                assert nf == expected, (n, r, s)
+                assert all(not c.is_zero() for c in nf.terms.values())
 
 
 def test_degenerate_product_validates_arguments():
