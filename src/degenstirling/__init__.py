@@ -20,7 +20,6 @@ from .algebra import (
 )
 from .bell import (
     DobinskiResult,
-    bell_rr_from_double_sum,
     bell_rs_poly,
     dobinski_eval,
     dobinski_rr,

@@ -52,6 +52,23 @@ def _pretty_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _require(cond: bool, msg: str):
+    """The package's argument check: ValueError(msg) unless cond holds."""
+    if not cond:
+        raise ValueError(msg)
+
+
+def _require_at_least(name: str, value, least: int):
+    _require(isinstance(value, int) and value >= least, f"{name} must be >= {least}, got {value!r}")
+
+
+def _require_rs(r, s):
+    _require(
+        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
+        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
+    )
+
+
 def falling_scalar(a, k: int):
     """Classical falling factorial a(a-1)...(a-k+1); empty product is 1."""
     out = 1

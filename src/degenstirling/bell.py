@@ -23,19 +23,21 @@ from .algebra import (
     LambdaPoly,
     X,
     XPoly,
+    _require,
+    _require_at_least,
+    _require_rs,
     as_rational,
     falling_scalar,
     gen_falling,
     rising_scalar,
 )
-from .stirling import r_stirling_degenerate, stirling_rs_degenerate
+from .stirling import family_row
 
 __all__ = [
     "DobinskiResult",
     "bell_rs_poly",
     "r_bell_poly",
     "r_bell_recurrence",
-    "bell_rr_from_double_sum",
     "dobinski_eval",
     "dobinski_rr",
     "gamma_formula_classical",
@@ -44,32 +46,22 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
-
-
 @lru_cache(maxsize=None)
 def bell_rs_poly(n: int, r: int, s: int) -> XPoly:
     """Degenerate (r, s)-Bell polynomial: sum_k S(n, k) x^k over the row
     k = 0..n*s.  The n = 0 polynomial is the empty product, 1."""
-    _require(isinstance(n, int) and n >= 0, f"n must be >= 0, got {n!r}")
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
-        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
-    )
+    _require_at_least("n", n, 0)
+    _require_rs(r, s)
     if n == 0:
         return XPoly.one()
-    return XPoly([stirling_rs_degenerate(n, k, r, s) for k in range(n * s + 1)])
+    return XPoly(family_row("stirling-rs", n, r, s).coefficients)
 
 
 @lru_cache(maxsize=None)
 def r_bell_poly(n: int, r: int) -> XPoly:
     """Degenerate shifted Bell polynomial: sum_k c_k x^k where c_k is the
     coefficient of (x)_k in (x+r)_{n,l}."""
-    _require(isinstance(n, int) and n >= 0, f"n must be >= 0, got {n!r}")
-    _require(isinstance(r, int) and r >= 0, f"r must be >= 0, got {r!r}")
-    return XPoly([r_stirling_degenerate(n, k, r) for k in range(n + 1)])
+    return XPoly(family_row("r-stirling", n, r).coefficients)
 
 
 def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
@@ -79,8 +71,8 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
     form_a = sum_k C(n,k) (-l)^(n-k) (n-k)! (x phi_k^(r+1) + r phi_k^(r))
     form_b = sum_k C(n,k) (r (-l)_{k,l} + x (1-l)_{k,l}) phi_{n-k}^(r)
     """
-    _require(isinstance(n, int) and n >= 0, f"n must be >= 0, got {n!r}")
-    _require(isinstance(r, int) and r >= 0, f"r must be >= 0, got {r!r}")
+    _require_at_least("n", n, 0)
+    _require_at_least("r", r, 0)
     form_a = XPoly.zero()
     form_b = XPoly.zero()
     for k in range(n + 1):
@@ -90,22 +82,6 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
         wb = r * gen_falling(-LAMBDA, k) + X * gen_falling(LambdaPoly.one() - LAMBDA, k)
         form_b = form_b + c * (wb * r_bell_poly(n - k, r))
     return form_a, form_b
-
-
-def bell_rr_from_double_sum(n: int, r: int) -> XPoly:
-    """The balanced Bell polynomial assembled from the double alternating
-    sum over ((p)_r)_{n,l}; an independent route to bell_rs_poly(n, r, r)."""
-    _require(isinstance(n, int) and n >= 1, f"n must be >= 1, got {n!r}")
-    _require(isinstance(r, int) and r >= 1, f"r must be >= 1, got {r!r}")
-    top = n * r
-    cols = []
-    for k in range(top + 1):
-        acc = LambdaPoly.zero()
-        for p in range(k + 1):
-            sign = -1 if (k - p) % 2 else 1
-            acc = acc + (sign * comb(k, p)) * gen_falling(falling_scalar(p, r), n)
-        cols.append(acc / factorial(k))
-    return XPoly(cols)
 
 
 @dataclass(frozen=True)
@@ -206,11 +182,8 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
         exp(-x) sum_{k>=0} (x^k / k!) prod_{j=1..n} [(k+(j-1)(r-s))_s - (n-j) l]
 
     in exact rationals, truncated with a certified tail bound <= tol."""
-    _require(isinstance(n, int) and n >= 1, f"n must be >= 1, got {n!r}")
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
-        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
-    )
+    _require_at_least("n", n, 1)
+    _require_rs(r, s)
     x = as_rational(x)
     lam = as_rational(lam)
     tol = as_rational(tol)
@@ -234,8 +207,8 @@ def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
         exp(-x) sum_{n>=1} (x^n / n!) ((n)_r)_{k,l}
 
     in exact rationals with a certified tail bound <= tol."""
-    _require(isinstance(k, int) and k >= 1, f"k must be >= 1, got {k!r}")
-    _require(isinstance(r, int) and r >= 1, f"r must be >= 1, got {r!r}")
+    _require_at_least("k", k, 1)
+    _require_at_least("r", r, 1)
     x = as_rational(x)
     lam = as_rational(lam)
     tol = as_rational(tol)
@@ -261,7 +234,7 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
 
     q_kl = (k-l+1)/(r-s), valid for r > s; each Gamma ratio is computed
     exactly as the rising factorial q(q+1)...(q+n-1) in rationals."""
-    _require(isinstance(n, int) and n >= 1, f"n must be >= 1, got {n!r}")
+    _require_at_least("n", n, 1)
     _require(
         isinstance(r, int) and isinstance(s, int) and r > s >= 1,
         f"need integers r > s >= 1, got r={r!r}, s={s!r}",

@@ -18,12 +18,13 @@ from .algebra import (
     TruncatedSeries,
     X,
     XPoly,
+    _require,
+    _require_at_least,
     degenerate_exp_series,
-    divmod_linear,
     series_exp,
 )
 from .bell import bell_rs_poly, r_bell_poly
-from .stirling import stirling2_degenerate
+from .stirling import falling_basis_poly, stirling2_degenerate, to_falling_basis
 
 __all__ = [
     "Mismatch",
@@ -51,11 +52,6 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
 
 
 def _report(identity: str, order: int, pairs) -> CheckReport:
@@ -99,7 +95,7 @@ def bell_egf_check(order: int = 10) -> CheckReport:
 def r_bell_egf_check(r: int, order: int = 10) -> CheckReport:
     """n! times the t^n coefficient of e_l^r(t) exp(x (e_l(t) - 1)) against
     the degenerate shifted Bell polynomial."""
-    _require(isinstance(r, int) and r >= 0, f"r must be >= 0, got {r!r}")
+    _require_at_least("r", r, 0)
     em1 = degenerate_exp_series(1, order) - TruncatedSeries.one(order)
     series = degenerate_exp_series(r, order) * series_exp(em1 * X)
     pairs = (
@@ -109,36 +105,19 @@ def r_bell_egf_check(r: int, order: int = 10) -> CheckReport:
     return _report(f"r-bell-egf[r={r}]", order, pairs)
 
 
-def _falling_to_powers(p: XPoly) -> XPoly:
-    # rewrite sum c_k (x)_k as sum c_k x^k: this is the scalar content of the
-    # coherent-state expectation, where (a+)^k a^k contributes |z|^2k = x^k
-    out = XPoly.zero()
-    q = p
-    k = 0
-    while not q.is_zero():
-        c = q(k)
-        q, rem = divmod_linear(q - XPoly.constant(c), Fraction(k))
-        if not rem.is_zero():
-            raise ArithmeticError("falling-basis extraction left a remainder")
-        out = out + (X ** k) * c
-        k += 1
-    return out
-
-
 def rr_egf_check(r: int, order: int = 10) -> CheckReport:
     """Balanced-case generating function: expand ((x)_r)_{n,l} over the
     falling basis, substitute x^k for each (x)_k, and compare with the
     balanced Bell polynomial row."""
-    _require(isinstance(r, int) and r >= 1, f"r must be >= 1, got {r!r}")
-    xr = XPoly.one()
-    for i in range(r):
-        xr = xr * (X - i)
-    series = degenerate_exp_series(xr, order)
+    _require_at_least("r", r, 1)
+    series = degenerate_exp_series(falling_basis_poly(r), order)
+    # sum c_k (x)_k read as sum c_k x^k: the coherent-state expectation,
+    # where (a+)^k a^k contributes |z|^2k = x^k
     pairs = (
         (
             n,
             bell_rs_poly(n, r, r),
-            _falling_to_powers(series.coefficient(n) * factorial(n)),
+            XPoly(to_falling_basis(series.coefficient(n) * factorial(n)).coefficients),
         )
         for n in range(order + 1)
     )

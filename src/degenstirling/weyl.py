@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import LambdaPoly, falling_scalar
+from .algebra import LambdaPoly, _require, _require_at_least, _require_rs, falling_scalar
 
 __all__ = [
     "NormalForm",
@@ -32,11 +32,6 @@ __all__ = [
     "apply_to_monomial",
     "difference_extract",
 ]
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
 
 
 class NormalForm:
@@ -213,10 +208,7 @@ def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     sends j to j - t + s, and the -k l (a+)^(r-s) term sends j to j - t,
     one power of l up and scaled by -k."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
-        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
-    )
+    _require_rs(r, s)
     row = [[1]]
     for k in range(n):
         # factor k raises the l-degree to at most k
@@ -242,10 +234,7 @@ def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:
     diagonal means the engine produced something structurally wrong, so it
     raises rather than returning a best effort."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
-        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
-    )
+    _require_rs(r, s)
     shift = n * (r - s)
     top = n * s
     for (i, j) in nf.terms:
@@ -276,7 +265,7 @@ def difference_extract(n: int, r: int, s: int, k: int) -> LambdaPoly:
     binomial expansion of (1-x)^k and evaluating at x = 1, scaled by
     (-1)^k / k!.  Shares no formula with the closed-form route, so the two
     can check each other."""
-    _require(isinstance(k, int) and k >= 0, f"k must be >= 0, got {k!r}")
+    _require_at_least("k", k, 0)
     nf = degenerate_product(n, r, s)
     total = LambdaPoly.zero()
     for p in range(k + 1):

@@ -6,7 +6,6 @@ import pytest
 
 from degenstirling.algebra import LAMBDA, X, XPoly
 from degenstirling.bell import (
-    bell_rr_from_double_sum,
     bell_rs_poly,
     dobinski_eval,
     dobinski_rr,
@@ -14,6 +13,7 @@ from degenstirling.bell import (
     r_bell_poly,
     r_bell_recurrence,
 )
+from degenstirling.stirling import stirling_rs_degenerate
 
 TOL = Fraction(1, 10 ** 12)
 
@@ -65,7 +65,8 @@ def test_recurrence_at_x_equals_one():
 def test_double_sum_matches_row_assembly():
     for r in range(1, 4):
         for n in range(1, 5):
-            assert bell_rr_from_double_sum(n, r) == bell_rs_poly(n, r, r)
+            closed = [stirling_rs_degenerate(n, k, r, r) for k in range(n * r + 1)]
+            assert bell_rs_poly(n, r, r) == XPoly(closed)
 
 
 def test_dobinski_matches_exact_polynomial_value():

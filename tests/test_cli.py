@@ -1,11 +1,16 @@
 """End-to-end CLI behaviour: output bytes, exit codes, verification suites."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from degenstirling import cli
+from degenstirling import cli, stirling
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, argv):
@@ -78,6 +83,24 @@ def test_table_semantic_error_exit_code(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table stirling2 --n -1",
+        "table stirling-rr --n 1 --r -1",
+        "table stirling-rs --n 2 --r 2 --s -1",
+        "table bell-rs --n -1 --r 2 --s 1",
+        "table r-bell --n -2 --r 0",
+        "table lah-signed --n -1",
+    ],
+)
+def test_table_outside_domain_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bad_flags_exit_via_argparse(capsys):
@@ -184,3 +207,45 @@ def test_verify_fails_loudly(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False
+
+
+def test_verify_reports_a_closed_form_that_fails_to_vanish(capsys, monkeypatch):
+    # the same broken falling factorial as the closed-form test: the
+    # vanishing check must record a failure, not end verify in a traceback
+    real = stirling.falling_scalar
+    monkeypatch.setattr(stirling, "falling_scalar", lambda a, k: real(a, k) + (a == 0))
+    stirling.stirling_rs_degenerate.cache_clear()
+    try:
+        code, out, _ = run(
+            capsys, ["verify", "--suite", "oracles", "--max-n", "1", "--max-r", "1"]
+        )
+    finally:
+        stirling.stirling_rs_degenerate.cache_clear()
+    assert code == 1
+    assert cli.canonical_json(json.loads(out)) == out.strip()
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    checks = {c["identity"]: c for c in doc["checks"]}
+    vanish = checks["vanish-beyond-ns[n=1,r=1,s=1]"]
+    assert vanish["pass"] is False
+    assert vanish["detail"] == "alternating sum failed to vanish beyond n*s"
+
+
+def _readme_examples() -> list:
+    """(argv, expected stdout) for every `$ degenstirling ...` line in the
+    README's shell blocks; the output is the rest of the block."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        lines = block.splitlines(keepends=True)
+        if lines[0].startswith("$ degenstirling "):
+            argv = shlex.split(lines[0][len("$ degenstirling "):])
+            examples.append((argv, "".join(lines[1:])))
+    return examples
+
+
+def test_readme_cli_examples_are_byte_exact(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 4
+    for argv, expected in examples:
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (0, expected, ""), argv

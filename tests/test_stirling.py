@@ -12,6 +12,7 @@ from degenstirling.algebra import LAMBDA, LambdaPoly, X, XPoly
 from degenstirling.stirling import (
     BasisCoeffs,
     falling_basis_poly,
+    family_row,
     gen_falling_factorial,
     lah_degenerate,
     lah_signed_degenerate,
@@ -85,6 +86,33 @@ def test_basis_coeffs_of_zero():
     bc = to_falling_basis(XPoly.zero())
     assert bc == BasisCoeffs((), "falling")
     assert bc.to_polynomial() == XPoly.zero()
+
+
+def test_family_rows_run_to_the_degree_of_their_polynomial():
+    shapes = {
+        ("stirling2", 5): 5,
+        ("stirling-rs", 3, 4, 2): 6,
+        ("stirling-rr", 3, 2): 6,
+        ("r-stirling", 4, 3): 4,
+        ("lah", 4): 4,
+        ("lah-signed", 4): 4,
+    }
+    for (name, *args), degree in shapes.items():
+        row = family_row(name, *args)
+        assert row.basis == stirling.FAMILIES[name].basis
+        assert len(row.coefficients) == degree + 1
+        assert row.coefficients[-1] == 1
+
+
+def test_family_row_validates_its_arguments():
+    with pytest.raises(KeyError):
+        family_row("nosuch", 1)
+    with pytest.raises(TypeError):
+        family_row("stirling-rs", 2, 4)
+    with pytest.raises(ValueError):
+        family_row("lah", -1)
+    with pytest.raises(ValueError):
+        family_row("r-stirling", 2, -1)
 
 
 def test_stirling2_counts_set_partitions_at_lambda_zero():
@@ -181,7 +209,7 @@ def test_rr_basis_identity_reproduces_balanced_rows():
         for r in range(1, 5):
             bc = rr_basis_identity(n, r)
             for k in range(n * r + 1):
-                assert bc.coefficient(k) == stirling_rr_degenerate(n, k, r)
+                assert bc.coefficient(k) == stirling_rs_degenerate(n, k, r, r)
 
 
 def test_r_stirling_at_r_zero_is_plain_stirling():
