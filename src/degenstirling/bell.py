@@ -9,6 +9,11 @@ in exact rational arithmetic with a certified truncation error: every
 result carries a tail_bound that rigorously dominates the difference to
 the infinite sum.  The bound comes from a per-term ratio majorant that is
 provably decreasing, so once it drops below 1/2 the tail is geometric.
+
+Each series is summed in integers over one running denominator (scale *
+q^k * k!, with x = p/q) and reduced to a Fraction once at the end, so no
+per-term gcd is taken; the value and the certified tail_bound are the same
+rationals a term-by-term Fraction sum gives.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .algebra import (
     as_rational,
     falling_scalar,
     gen_falling,
-    rising_scalar,
 )
 from .stirling import family_row
 
@@ -42,9 +46,6 @@ __all__ = [
     "dobinski_rr",
     "gamma_formula_classical",
 ]
-
-_HALF = Fraction(1, 2)
-
 
 @lru_cache(maxsize=None)
 def bell_rs_poly(n: int, r: int, s: int) -> XPoly:
@@ -97,70 +98,71 @@ class DobinskiResult:
     tail_bound: Fraction
 
 
-def _exp_neg_partial(x: Fraction, budget: Fraction) -> tuple[Fraction, Fraction]:
-    """Partial sum W of exp(-x) for x > 0 with |exp(-x) - W| <= returned
-    bound <= min(budget, 1/2)."""
-    budget = min(budget, _HALF)
-    m0 = 0
-    while x > Fraction(m0 + 1, 2):  # after m0 the term ratio x/(m+1) is <= 1/2
-        m0 += 1
-    s = Fraction(0)
-    term = Fraction(1)
-    m = 0
-    while True:
-        s += term
-        if m >= m0 and abs(term) <= budget:
-            return s, abs(term)
-        term = term * (-x) / (m + 1)
-        m += 1
+def _sum_series(coeff, p: int, q: int, scale: int, k_first: int, k0: int,
+                budget: Fraction) -> tuple[Fraction, Fraction, int]:
+    """Sum t_k = coeff(k) p^k / (scale q^k k!) from k = k_first (0 or 1)
+    upward, in integers over one running denominator.
 
-
-def _sum_series(term_fn, k_first: int, k_min_ratio: int, rho, budget: Fraction):
-    """Sum term_fn(k) from k_first upward.
-
-    rho(k) must be a decreasing upper bound for |t_{k+1}/t_k|, valid for
-    k >= k_min_ratio.  Once k passes the point where rho <= 1/2 and the
-    current term is within budget, the remaining tail is dominated by the
-    geometric series and hence by |t_k| <= budget.
+    num/den is the partial sum with den = scale q^k k!: each step scales both
+    by q k and adds a_k = coeff(k) p^k, so t_k = a_k/den and nothing is
+    reduced until the end.  The caller guarantees |t_{k+1}/t_k| <= 1/2 for
+    every k >= k0.  Once k >= k0 and the current term is within budget, the
+    remaining tail is dominated by the geometric series and hence by
+    |t_k| <= budget.
     Returns (partial_sum, tail_bound, terms_used).
     """
-    k0 = max(k_min_ratio, k_first)
-    while rho(k0) > _HALF:
-        k0 += 1
-    s = Fraction(0)
+    bn, bd = budget.numerator, budget.denominator
+    num, den, pk = 0, scale, p ** k_first
     k = k_first
-    used = 0
     while True:
-        t = term_fn(k)
-        s += t
-        used += 1
-        if k >= k0 and abs(t) <= budget:
-            return s, abs(t), used
+        if k:
+            num *= q * k
+            den *= q * k
+        a = coeff(k) * pk
+        num += a
+        if k >= k0 and abs(a) * bd <= bn * den:
+            return Fraction(num, den), Fraction(abs(a), den), k - k_first + 1
+        pk *= p
         k += 1
 
 
-def _factored_ratio_bound(x: Fraction, factor_count: int, depth: int, drift: Fraction):
-    """Ratio majorant for terms  x^k/k! * prod of factor_count factors,
-    each of the shape (k + c)_depth - d*l with c >= 0 and |d*l| <= drift.
+def _exp_neg_partial(x: Fraction, budget: Fraction) -> tuple[Fraction, Fraction]:
+    """Partial sum W of exp(-x) for x > 0 with |exp(-x) - W| <= returned
+    bound <= min(budget, 1/2)."""
+    # from m0 = max(0, ceil(2x) - 1) on the term ratio x/(m+1) is <= 1/2
+    m0 = max(0, -(-2 * x.numerator // x.denominator) - 1)
+    w, tail, _ = _sum_series(lambda m: 1, -x.numerator, x.denominator, 1, 0, m0,
+                             min(budget, Fraction(1, 2)))
+    return w, tail
 
-    For k >= the returned start index every factor is positive and
+
+def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction) -> int:
+    """Start index k0 for terms  x^k/k! * prod of factor_count factors, each
+    of the shape (k + c)_depth - d*l with c >= 0 and |d*l| <= drift.
+
+    Let k1 be the first k >= depth with (k)_depth >= 2*drift.  For k >= k1
+    every factor is positive and
 
       |t_{k+1}/t_k| <= x/(k+1) * [ (k+1)/(k+1-depth)
                                    * ((k)_depth + drift)/((k)_depth - drift) ]^factor_count,
 
-    which is decreasing in k.  start is chosen so that (k)_depth >= 2*drift.
+    which is decreasing in k.  k0 is the first k >= k1 where this majorant is
+    at most 1/2.  With x = a/b, drift = d/e and g = (k)_depth the test is, all
+    denominators cleared,
+
+      2 a ((k+1)(g e + d))^factor_count <= b (k+1) ((k+1-depth)(g e - d))^factor_count.
     """
-    ax = abs(x)
-    k1 = depth
-    while falling_scalar(k1, depth) < 2 * drift:
-        k1 += 1
-
-    def rho(k: int) -> Fraction:
-        g = Fraction(falling_scalar(k, depth))
-        core = Fraction(k + 1, k + 1 - depth) * ((g + drift) / (g - drift))
-        return ax / (k + 1) * core ** factor_count
-
-    return k1, rho
+    a, b = abs(x.numerator), x.denominator
+    d, e = drift.numerator, drift.denominator
+    k = depth
+    while falling_scalar(k, depth) * e < 2 * d:
+        k += 1
+    while True:
+        g = falling_scalar(k, depth) * e
+        if 2 * a * ((k + 1) * (g + d)) ** factor_count \
+                <= b * (k + 1) * ((k + 1 - depth) * (g - d)) ** factor_count:
+            return k
+        k += 1
 
 
 def _combine_with_exp(series_sum: Fraction, tail_s: Fraction, used: int,
@@ -190,14 +192,17 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     _require(x > 0, f"x must be positive, got {x}")
     _require(tol > 0, f"tol must be positive, got {tol}")
 
-    def term(k: int) -> Fraction:
-        prod = Fraction(1)
-        for j in range(1, n + 1):
-            prod *= falling_scalar(k + (j - 1) * (r - s), s) - (n - j) * lam
-        return prod * x ** k / factorial(k)
+    u, v = lam.numerator, lam.denominator
 
-    k1, rho = _factored_ratio_bound(x, n, s, n * abs(lam))
-    series_sum, tail_s, used = _sum_series(term, 0, k1, rho, tol / 6)
+    def coeff(k: int) -> int:  # v^n times the product, l = u/v
+        out = 1
+        for j in range(1, n + 1):
+            out *= falling_scalar(k + (j - 1) * (r - s), s) * v - (n - j) * u
+        return out
+
+    k0 = _factored_start(x, n, s, n * abs(lam))
+    series_sum, tail_s, used = _sum_series(coeff, x.numerator, x.denominator, v ** n,
+                                           0, k0, tol / 6)
     return _combine_with_exp(series_sum, tail_s, used, x, tol)
 
 
@@ -215,15 +220,18 @@ def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
     _require(x > 0, f"x must be positive, got {x}")
     _require(tol > 0, f"tol must be positive, got {tol}")
 
-    def term(m: int) -> Fraction:
-        fm = falling_scalar(m, r)
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= fm - i * lam
-        return prod * x ** m / factorial(m)
+    u, v = lam.numerator, lam.denominator
 
-    k1, rho = _factored_ratio_bound(x, k, r, k * abs(lam))
-    series_sum, tail_s, used = _sum_series(term, 1, k1, rho, tol / 6)
+    def coeff(m: int) -> int:  # v^k times the product, l = u/v
+        fm = falling_scalar(m, r) * v
+        out = 1
+        for i in range(k):
+            out *= fm - i * u
+        return out
+
+    k0 = _factored_start(x, k, r, k * abs(lam))
+    series_sum, tail_s, used = _sum_series(coeff, x.numerator, x.denominator, v ** k,
+                                           1, k0, tol / 6)
     return _combine_with_exp(series_sum, tail_s, used, x, tol)
 
 
@@ -232,8 +240,9 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
 
         ((r-s)^(s n) / e) sum_{k>=0} (1/k!) prod_{l=1..s} G(n + q_kl)/G(q_kl),
 
-    q_kl = (k-l+1)/(r-s), valid for r > s; each Gamma ratio is computed
-    exactly as the rising factorial q(q+1)...(q+n-1) in rationals."""
+    q_kl = (k-l+1)/(r-s), valid for r > s.  Each Gamma ratio is the rising
+    factorial q(q+1)...(q+n-1) = prod_{i<n} (k-l+1+i(r-s)) / (r-s)^n, so the
+    prefactor cancels and every term is an integer over k!."""
     _require_at_least("n", n, 1)
     _require(
         isinstance(r, int) and isinstance(s, int) and r > s >= 1,
@@ -241,18 +250,19 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     )
     tol = as_rational(tol)
     _require(tol > 0, f"tol must be positive, got {tol}")
-    pre = Fraction((r - s) ** (s * n))
 
-    def term(k: int) -> Fraction:
-        prod = pre
+    def coeff(k: int) -> int:
+        out = 1
         for l in range(1, s + 1):
-            prod *= rising_scalar(Fraction(k - l + 1, r - s), n)
-        return prod / factorial(k)
+            for i in range(n):
+                out *= k - l + 1 + i * (r - s)
+        return out
 
-    def rho(k: int) -> Fraction:
-        # for k >= s all q_kl are positive and each rising-factorial ratio is
-        # at most (1 + 1/(k-s+1))^n, giving a decreasing majorant
-        return Fraction(1, k + 1) * (1 + Fraction(1, k - s + 1)) ** (s * n)
-
-    series_sum, tail_s, used = _sum_series(term, 0, s, rho, tol / 6)
+    # for k >= s all q_kl are positive and each rising-factorial ratio is at
+    # most (1 + 1/(k-s+1))^n, giving the decreasing majorant
+    # (k-s+2)^(s n) / ((k+1) (k-s+1)^(s n)); start where it is <= 1/2
+    k0 = s
+    while 2 * (k0 - s + 2) ** (s * n) > (k0 + 1) * (k0 - s + 1) ** (s * n):
+        k0 += 1
+    series_sum, tail_s, used = _sum_series(coeff, 1, 1, 1, 0, k0, tol / 6)
     return _combine_with_exp(series_sum, tail_s, used, Fraction(1), tol)

@@ -279,6 +279,11 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
 
 
 def cmd_verify(args) -> int:
+    # a bound below its least value would silently drop checks
+    for flag, value, least in (("--max-n", args.max_n, 0), ("--max-r", args.max_r, 0),
+                               ("--max-s", args.max_s, 1)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     suites = ("oracles", "egf", "recurrence", "dobinski")
     wanted = suites if args.suite == "all" else (args.suite,)
     checks = []

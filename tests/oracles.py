@@ -159,3 +159,127 @@ def normal_order_letters(word) -> dict:
 def normal_order_power_fast(r: int, s: int, n: int) -> dict:
     """Normal ordering of ((a+)^r a^s)^n by the letter-wise oracle."""
     return normal_order_letters((("c",) * r + ("a",) * s) * n)
+
+
+# -- certified Dobinski series, one Fraction per term ------------------------
+#
+# The plain reference for the package's integer series kernel: every term is
+# built as its own Fraction, added to a Fraction sum and compared with a
+# Fraction budget, with the start index found by evaluating the ratio
+# majorant as a Fraction.  Each function returns (value, terms_used,
+# tail_bound) and must agree with the package exactly, field by field.
+
+_HALF = Fraction(1, 2)
+
+
+def _falling(a, k: int):
+    out = 1
+    for i in range(k):
+        out = out * (a - i)
+    return out
+
+
+def _rising(a, k: int):
+    out = 1
+    for i in range(k):
+        out = out * (a + i)
+    return out
+
+
+def _exp_neg_partial(x: Fraction, budget: Fraction):
+    budget = min(budget, _HALF)
+    m0 = 0
+    while x > Fraction(m0 + 1, 2):  # after m0 the term ratio x/(m+1) is <= 1/2
+        m0 += 1
+    s = Fraction(0)
+    term = Fraction(1)
+    m = 0
+    while True:
+        s += term
+        if m >= m0 and abs(term) <= budget:
+            return s, abs(term)
+        term = term * (-x) / (m + 1)
+        m += 1
+
+
+def _sum_series(term_fn, k_first: int, k_min_ratio: int, rho, budget: Fraction):
+    k0 = max(k_min_ratio, k_first)
+    while rho(k0) > _HALF:
+        k0 += 1
+    s = Fraction(0)
+    k = k_first
+    used = 0
+    while True:
+        t = term_fn(k)
+        s += t
+        used += 1
+        if k >= k0 and abs(t) <= budget:
+            return s, abs(t), used
+        k += 1
+
+
+def _factored_ratio_bound(x: Fraction, factor_count: int, depth: int, drift: Fraction):
+    ax = abs(x)
+    k1 = depth
+    while _falling(k1, depth) < 2 * drift:
+        k1 += 1
+
+    def rho(k: int) -> Fraction:
+        g = Fraction(_falling(k, depth))
+        core = Fraction(k + 1, k + 1 - depth) * ((g + drift) / (g - drift))
+        return ax / (k + 1) * core ** factor_count
+
+    return k1, rho
+
+
+def _combine_with_exp(series_sum, tail_s, used, x: Fraction, tol: Fraction):
+    e_budget = min(tol / 6, (tol / 4) / (abs(series_sum) + tail_s + 1))
+    w, tail_e = _exp_neg_partial(x, e_budget)
+    err = abs(w) * tail_s + tail_e * (abs(series_sum) + tail_s)
+    if err > tol:
+        raise ArithmeticError("tail budgeting failed")
+    return w * series_sum, used, err
+
+
+def dobinski_reference(n: int, r: int, s: int, x: Fraction, lam: Fraction, tol: Fraction):
+    """exp(-x) sum_k (x^k/k!) prod_{j=1..n} [(k+(j-1)(r-s))_s - (n-j) l]."""
+    def term(k: int) -> Fraction:
+        prod = Fraction(1)
+        for j in range(1, n + 1):
+            prod *= _falling(k + (j - 1) * (r - s), s) - (n - j) * lam
+        return prod * x ** k / factorial(k)
+
+    k1, rho = _factored_ratio_bound(x, n, s, n * abs(lam))
+    series_sum, tail_s, used = _sum_series(term, 0, k1, rho, tol / 6)
+    return _combine_with_exp(series_sum, tail_s, used, x, tol)
+
+
+def dobinski_rr_reference(k: int, r: int, x: Fraction, lam: Fraction, tol: Fraction):
+    """exp(-x) sum_{m>=1} (x^m/m!) ((m)_r)_{k,l}."""
+    def term(m: int) -> Fraction:
+        fm = _falling(m, r)
+        prod = Fraction(1)
+        for i in range(k):
+            prod *= fm - i * lam
+        return prod * x ** m / factorial(m)
+
+    k1, rho = _factored_ratio_bound(x, k, r, k * abs(lam))
+    series_sum, tail_s, used = _sum_series(term, 1, k1, rho, tol / 6)
+    return _combine_with_exp(series_sum, tail_s, used, x, tol)
+
+
+def gamma_reference(n: int, r: int, s: int, tol: Fraction):
+    """((r-s)^(s n)/e) sum_k (1/k!) prod_{l=1..s} <(k-l+1)/(r-s)>_n, r > s."""
+    pre = Fraction((r - s) ** (s * n))
+
+    def term(k: int) -> Fraction:
+        prod = pre
+        for l in range(1, s + 1):
+            prod *= _rising(Fraction(k - l + 1, r - s), n)
+        return prod / factorial(k)
+
+    def rho(k: int) -> Fraction:
+        return Fraction(1, k + 1) * (1 + Fraction(1, k - s + 1)) ** (s * n)
+
+    series_sum, tail_s, used = _sum_series(term, 0, s, rho, tol / 6)
+    return _combine_with_exp(series_sum, tail_s, used, Fraction(1), tol)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenstirling.algebra import LAMBDA, X, XPoly
 from degenstirling.bell import (
@@ -15,7 +17,27 @@ from degenstirling.bell import (
 )
 from degenstirling.stirling import stirling_rs_degenerate
 
+from .oracles import dobinski_reference, dobinski_rr_reference, gamma_reference
+
 TOL = Fraction(1, 10 ** 12)
+
+orders = st.integers(min_value=1, max_value=4)
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda t: (max(t), min(t)))
+positive_x = st.fractions(min_value=0, max_value=8, max_denominator=6).filter(lambda q: q > 0)
+lambdas = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def tolerances(least_digits: int, most_digits: int):
+    """c / 10^e with 1 <= c <= 9 and e in [least_digits, most_digits]."""
+    return st.builds(
+        lambda c, e: Fraction(c, 10 ** e),
+        st.integers(1, 9),
+        st.integers(least_digits, most_digits),
+    )
+
+
+def _fields(res):
+    return res.value, res.terms_used, res.tail_bound
 
 
 def test_bell_rs_poly_examples():
@@ -155,3 +177,52 @@ def test_gamma_series_frozen_values():
 def test_gamma_series_requires_r_greater_than_s():
     with pytest.raises(ValueError):
         gamma_formula_classical(1, 2, 2, TOL)
+
+
+# -- the integer series kernel against the Fraction-per-term reference -------
+
+@settings(max_examples=80, deadline=None)
+@given(orders, shapes, positive_x, lambdas, tolerances(12, 300))
+def test_dobinski_eval_matches_fraction_reference(n, rs, x, lam, tol):
+    r, s = rs
+    assert _fields(dobinski_eval(n, r, s, x, lam, tol)) == dobinski_reference(n, r, s, x, lam, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, st.integers(1, 3), positive_x, lambdas, tolerances(12, 300))
+def test_dobinski_rr_matches_fraction_reference(k, r, x, lam, tol):
+    assert _fields(dobinski_rr(k, r, x, lam, tol)) == dobinski_rr_reference(k, r, x, lam, tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(orders, st.sampled_from([(2, 1), (3, 1), (3, 2)]), tolerances(12, 300))
+def test_gamma_series_matches_fraction_reference(n, rs, tol):
+    r, s = rs
+    assert _fields(gamma_formula_classical(n, r, s, tol)) == gamma_reference(n, r, s, tol)
+
+
+@pytest.mark.parametrize("tol", [Fraction(10 ** 9), Fraction(1, 2), Fraction(1, 1000)])
+def test_series_match_fraction_reference_at_loose_tolerance(tol):
+    # at a loose tolerance the sum often stops at its start index (at 10^9
+    # always), so a start index off by one changes terms_used and the value
+    for x in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
+        for lam in (Fraction(0), Fraction(-3, 2), Fraction(7, 3)):
+            for n, r, s in [(1, 1, 1), (2, 3, 1), (3, 2, 2), (4, 3, 2)]:
+                got = _fields(dobinski_eval(n, r, s, x, lam, tol))
+                assert got == dobinski_reference(n, r, s, x, lam, tol)
+                got = _fields(dobinski_rr(n, r, x, lam, tol))
+                assert got == dobinski_rr_reference(n, r, x, lam, tol)
+    for n, r, s in [(1, 2, 1), (3, 3, 1), (4, 3, 2)]:
+        assert _fields(gamma_formula_classical(n, r, s, tol)) == gamma_reference(n, r, s, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders, shapes, positive_x, lambdas, tolerances(200, 300))
+def test_tail_bound_is_honest_at_tight_tolerance(n, rs, x, lam, tol):
+    # any sign of l: the certified bound must still dominate the distance
+    # to the exact polynomial value
+    r, s = rs
+    res = dobinski_eval(n, r, s, x, lam, tol)
+    assert abs(res.value - bell_rs_poly(n, r, s)(x)(lam)) <= res.tail_bound <= tol
+    res = dobinski_rr(n, r, x, lam, tol)
+    assert abs(res.value - bell_rs_poly(n, r, r)(x)(lam)) <= res.tail_bound <= tol

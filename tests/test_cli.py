@@ -199,6 +199,24 @@ def test_verify_with_no_checks_is_a_usage_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--suite", "oracles", "--max-n", "1", "--max-r", "1", "--max-s", "-1"],
+        ["--suite", "dobinski", "--max-n", "1", "--max-r", "1", "--max-s", "0"],
+        ["--suite", "oracles", "--max-n", "-1", "--max-r", "1"],
+        ["--suite", "egf", "--order", "2", "--max-r", "1", "--max-n", "-1"],
+        ["--suite", "all", "--order", "2", "--max-n", "1", "--max-r", "-1"],
+    ],
+)
+def test_verify_bound_below_its_least_value_is_a_usage_error(capsys, bounds):
+    # each of these used to drop checks silently and still print a pass
+    code, out, err = run(capsys, ["verify", *bounds])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-") and err.count("\n") == 1
+
+
 def test_verify_fails_loudly(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_suite_recurrence", lambda *a: [cli._check("forced", False)]
