@@ -13,14 +13,14 @@ provably decreasing, so once it drops below 1/2 the tail is geometric.
 Each series is summed in integers over one running denominator (scale *
 q^k * k!, with x = p/q) and reduced to a Fraction once at the end, so no
 per-term gcd is taken; the value and the certified tail_bound are the same
-rationals a term-by-term Fraction sum gives.
+rationals a term-by-term Fraction sum gives.  The balanced series
+dobinski_rr is the s = r case of dobinski_eval, not a second copy of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import (
@@ -47,7 +47,6 @@ __all__ = [
     "gamma_formula_classical",
 ]
 
-@lru_cache(maxsize=None)
 def bell_rs_poly(n: int, r: int, s: int) -> XPoly:
     """Degenerate (r, s)-Bell polynomial: sum_k S(n, k) x^k over the row
     k = 0..n*s.  The n = 0 polynomial is the empty product, 1."""
@@ -58,7 +57,6 @@ def bell_rs_poly(n: int, r: int, s: int) -> XPoly:
     return XPoly(family_row("stirling-rs", n, r, s).coefficients)
 
 
-@lru_cache(maxsize=None)
 def r_bell_poly(n: int, r: int) -> XPoly:
     """Degenerate shifted Bell polynomial: sum_k c_k x^k where c_k is the
     coefficient of (x)_k in (x+r)_{n,l}."""
@@ -98,10 +96,10 @@ class DobinskiResult:
     tail_bound: Fraction
 
 
-def _sum_series(coeff, p: int, q: int, scale: int, k_first: int, k0: int,
+def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
                 budget: Fraction) -> tuple[Fraction, Fraction, int]:
-    """Sum t_k = coeff(k) p^k / (scale q^k k!) from k = k_first (0 or 1)
-    upward, in integers over one running denominator.
+    """Sum t_k = coeff(k) p^k / (scale q^k k!) from k = 0 upward, in
+    integers over one running denominator.
 
     num/den is the partial sum with den = scale q^k k!: each step scales both
     by q k and adds a_k = coeff(k) p^k, so t_k = a_k/den and nothing is
@@ -112,8 +110,8 @@ def _sum_series(coeff, p: int, q: int, scale: int, k_first: int, k0: int,
     Returns (partial_sum, tail_bound, terms_used).
     """
     bn, bd = budget.numerator, budget.denominator
-    num, den, pk = 0, scale, p ** k_first
-    k = k_first
+    num, den, pk = 0, scale, 1
+    k = 0
     while True:
         if k:
             num *= q * k
@@ -121,7 +119,7 @@ def _sum_series(coeff, p: int, q: int, scale: int, k_first: int, k0: int,
         a = coeff(k) * pk
         num += a
         if k >= k0 and abs(a) * bd <= bn * den:
-            return Fraction(num, den), Fraction(abs(a), den), k - k_first + 1
+            return Fraction(num, den), Fraction(abs(a), den), k + 1
         pk *= p
         k += 1
 
@@ -131,7 +129,7 @@ def _exp_neg_partial(x: Fraction, budget: Fraction) -> tuple[Fraction, Fraction]
     bound <= min(budget, 1/2)."""
     # from m0 = max(0, ceil(2x) - 1) on the term ratio x/(m+1) is <= 1/2
     m0 = max(0, -(-2 * x.numerator // x.denominator) - 1)
-    w, tail, _ = _sum_series(lambda m: 1, -x.numerator, x.denominator, 1, 0, m0,
+    w, tail, _ = _sum_series(lambda m: 1, -x.numerator, x.denominator, 1, m0,
                              min(budget, Fraction(1, 2)))
     return w, tail
 
@@ -202,7 +200,7 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
 
     k0 = _factored_start(x, n, s, n * abs(lam))
     series_sum, tail_s, used = _sum_series(coeff, x.numerator, x.denominator, v ** n,
-                                           0, k0, tol / 6)
+                                           k0, tol / 6)
     return _combine_with_exp(series_sum, tail_s, used, x, tol)
 
 
@@ -211,28 +209,13 @@ def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
 
         exp(-x) sum_{n>=1} (x^n / n!) ((n)_r)_{k,l}
 
-    in exact rationals with a certified tail bound <= tol."""
+    in exact rationals with a certified tail bound <= tol.  This is
+    dobinski_eval(k, r, r, ...), which also sums the n = 0 term; that term
+    is zero and terms_used here does not count it."""
     _require_at_least("k", k, 1)
     _require_at_least("r", r, 1)
-    x = as_rational(x)
-    lam = as_rational(lam)
-    tol = as_rational(tol)
-    _require(x > 0, f"x must be positive, got {x}")
-    _require(tol > 0, f"tol must be positive, got {tol}")
-
-    u, v = lam.numerator, lam.denominator
-
-    def coeff(m: int) -> int:  # v^k times the product, l = u/v
-        fm = falling_scalar(m, r) * v
-        out = 1
-        for i in range(k):
-            out *= fm - i * u
-        return out
-
-    k0 = _factored_start(x, k, r, k * abs(lam))
-    series_sum, tail_s, used = _sum_series(coeff, x.numerator, x.denominator, v ** k,
-                                           1, k0, tol / 6)
-    return _combine_with_exp(series_sum, tail_s, used, x, tol)
+    res = dobinski_eval(k, r, r, x, lam, tol)
+    return DobinskiResult(res.value, res.terms_used - 1, res.tail_bound)
 
 
 def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
@@ -264,5 +247,5 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     k0 = s
     while 2 * (k0 - s + 2) ** (s * n) > (k0 + 1) * (k0 - s + 1) ** (s * n):
         k0 += 1
-    series_sum, tail_s, used = _sum_series(coeff, 1, 1, 1, 0, k0, tol / 6)
+    series_sum, tail_s, used = _sum_series(coeff, 1, 1, 1, k0, tol / 6)
     return _combine_with_exp(series_sum, tail_s, used, Fraction(1), tol)

@@ -54,8 +54,11 @@ _BELL = {"bell-rs": ("stirling-rs", bell.bell_rs_poly), "r-bell": ("r-stirling",
 def cmd_table(args) -> int:
     base, bell_poly = _BELL.get(args.family, (args.family, None))
     needs = stirling.FAMILIES[base].params
-    for name in needs:
-        if getattr(args, name) is None:
+    for name in ("r", "s"):
+        given = getattr(args, name) is not None
+        if given and name not in needs:
+            raise UsageError(f"family {args.family!r} takes no --{name}")
+        if not given and name in needs:
             raise UsageError(f"family {args.family!r} requires --{name}")
     params = [getattr(args, name) for name in needs]
     if bell_poly is None:
@@ -165,9 +168,7 @@ def _suite_oracles(max_n: int, max_r: int, max_s: int) -> list:
                 )
             )
             lhs = stirling.FAMILIES["stirling-rs"].polynomial(n, r, s)
-            rhs = XPoly.zero()
-            for k in range(n * s + 1):
-                rhs = rhs + stirling.falling_basis_poly(k) * closed[k]
+            rhs = stirling.BasisCoeffs(tuple(closed), "falling").to_polynomial()
             checks.append(_check(f"factored-identity[n={n},r={r},s={s}]", lhs == rhs))
             try:
                 vanish = all(
@@ -278,24 +279,22 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
     return checks
 
 
+_SUITES = {
+    "oracles": lambda args: _suite_oracles(args.max_n, args.max_r, args.max_s),
+    "egf": lambda args: _suite_egf(args.order, args.max_r),
+    "recurrence": lambda args: _suite_recurrence(args.max_n, args.max_r),
+    "dobinski": lambda args: _suite_dobinski(args.max_n, args.max_r, args.max_s, args.tol),
+}
+
+
 def cmd_verify(args) -> int:
     # a bound below its least value would silently drop checks
     for flag, value, least in (("--max-n", args.max_n, 0), ("--max-r", args.max_r, 0),
                                ("--max-s", args.max_s, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
-    suites = ("oracles", "egf", "recurrence", "dobinski")
-    wanted = suites if args.suite == "all" else (args.suite,)
-    checks = []
-    for name in wanted:
-        if name == "oracles":
-            checks.extend(_suite_oracles(args.max_n, args.max_r, args.max_s))
-        elif name == "egf":
-            checks.extend(_suite_egf(args.order, args.max_r))
-        elif name == "recurrence":
-            checks.extend(_suite_recurrence(args.max_n, args.max_r))
-        elif name == "dobinski":
-            checks.extend(_suite_dobinski(args.max_n, args.max_r, args.max_s, args.tol))
+    wanted = _SUITES if args.suite == "all" else (args.suite,)
+    checks = [check for name in wanted for check in _SUITES[name](args)]
     if not checks:
         raise UsageError(f"suite {args.suite!r} selects no checks with these bounds")
     passed = all(c["pass"] for c in checks)
@@ -330,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normal_order)
 
     p = sub.add_parser("verify", help="run an identity suite; exit 1 on failure")
-    p.add_argument("--suite", choices=("oracles", "egf", "recurrence", "dobinski", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
     p.add_argument("--max-r", dest="max_r", type=int, default=3)
     p.add_argument("--max-s", dest="max_s", type=int, default=3)

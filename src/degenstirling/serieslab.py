@@ -9,7 +9,7 @@ the other route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -82,14 +82,9 @@ def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
 
 def bell_egf_check(order: int = 10) -> CheckReport:
     """n! times the t^n coefficient of exp(x (e_l(t) - 1)) against the
-    degenerate Bell polynomial (the r = 0 shifted row)."""
-    em1 = degenerate_exp_series(1, order) - TruncatedSeries.one(order)
-    series = series_exp(em1 * X)
-    pairs = (
-        (n, r_bell_poly(n, 0), series.coefficient(n) * factorial(n))
-        for n in range(order + 1)
-    )
-    return _report("bell-egf", order, pairs)
+    degenerate Bell polynomial: the r = 0 case of r_bell_egf_check, since
+    e_l^0(t) is the series 1."""
+    return replace(r_bell_egf_check(0, order), identity="bell-egf")
 
 
 def r_bell_egf_check(r: int, order: int = 10) -> CheckReport:

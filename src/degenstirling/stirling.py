@@ -72,7 +72,6 @@ def rising_basis_poly(k: int) -> XPoly:
     return p
 
 
-@lru_cache(maxsize=None)
 def gen_falling_factorial(n: int) -> XPoly:
     """(x)_{n,l} = x(x-l)...(x-(n-1)l)."""
     _require_at_least("n", n, 0)

@@ -226,3 +226,29 @@ def test_tail_bound_is_honest_at_tight_tolerance(n, rs, x, lam, tol):
     assert abs(res.value - bell_rs_poly(n, r, s)(x)(lam)) <= res.tail_bound <= tol
     res = dobinski_rr(n, r, x, lam, tol)
     assert abs(res.value - bell_rs_poly(n, r, r)(x)(lam)) <= res.tail_bound <= tol
+
+
+# -- the balanced series is the s = r case of the general one ---------------
+
+def _assert_balanced_is_general(k, r, x, lam, tol):
+    # the general series also counts its k = 0 term, which is zero at s = r
+    balanced = dobinski_rr(k, r, x, lam, tol)
+    general = dobinski_eval(k, r, r, x, lam, tol)
+    assert balanced.value == general.value
+    assert balanced.tail_bound == general.tail_bound
+    assert balanced.terms_used == general.terms_used - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders, st.integers(1, 3), positive_x, lambdas, tolerances(12, 300))
+def test_dobinski_rr_is_the_balanced_dobinski_eval(k, r, x, lam, tol):
+    _assert_balanced_is_general(k, r, x, lam, tol)
+
+
+@pytest.mark.parametrize("tol", [Fraction(10 ** 9), Fraction(1, 2)])
+def test_dobinski_rr_is_the_balanced_dobinski_eval_at_loose_tolerance(tol):
+    for x in (Fraction(1, 3), Fraction(5, 2), Fraction(7)):
+        for lam in (Fraction(0), Fraction(-3, 2), Fraction(7, 3)):
+            for k in range(1, 5):
+                for r in range(1, 4):
+                    _assert_balanced_is_general(k, r, x, lam, tol)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output bytes, exit codes, verification suites."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -103,6 +104,25 @@ def test_table_outside_domain_is_a_usage_error(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("table stirling2 --n 2 --r 3", "--r"),
+        ("table lah --n 2 --s 1", "--s"),
+        ("table lah-signed --n 2 --r 1 --s 1", "--r"),
+        ("table stirling-rr --n 2 --r 1 --s 5", "--s"),
+        ("table r-stirling --n 2 --r 1 --s 1", "--s"),
+        ("table r-bell --n 2 --r 0 --s 2", "--s"),
+    ],
+)
+def test_table_flag_the_family_does_not_take_is_a_usage_error(capsys, argv, flag):
+    family = argv.split()[1]
+    code, out, err = run(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family {family!r} takes no {flag}\n"
+
+
 def test_bad_flags_exit_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "nosuch-family", "--n", "1"])
@@ -188,6 +208,17 @@ def test_verify_dobinski_suite(capsys):
     assert code == 0
     assert all(c["pass"] for c in doc["checks"])
     assert any(c["identity"].startswith("gamma-ratio") for c in doc["checks"])
+
+
+def test_release_gate_output_is_pinned(capsys):
+    # the bytes of the release gate; any change to a check, its name or its
+    # order changes this digest
+    code, out, err = run(capsys, ["verify", "--order", "6"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["checks"]) == 186
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fd2a83357840f180d42e479a9a81da2daab5982fd983ac90715b6273ceda7f77"
+    )
 
 
 def test_verify_with_no_checks_is_a_usage_error(capsys):

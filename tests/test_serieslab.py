@@ -32,6 +32,15 @@ def test_bell_egf_holds():
     assert bell_egf_check(order=8)
 
 
+@pytest.mark.parametrize("order", range(9))
+def test_bell_egf_is_the_r_zero_shifted_check(order):
+    plain, shifted = bell_egf_check(order), r_bell_egf_check(0, order)
+    assert plain.identity == "bell-egf"
+    assert (plain.order, plain.passed, plain.first_mismatch) == (
+        shifted.order, shifted.passed, shifted.first_mismatch
+    )
+
+
 def test_r_bell_egf_holds():
     for r in range(4):
         assert r_bell_egf_check(r, order=8)
