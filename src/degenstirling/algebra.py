@@ -4,6 +4,9 @@ From the bottom up: arbitrary-precision rationals, polynomials in the
 deformation parameter (printed ``l``), polynomials in ``x`` whose
 coefficients are such polynomials, and formal power series in ``t``
 truncated at a fixed order whose coefficients live one level down.
+The two polynomial rungs are one class, ``Poly``: ``LambdaPoly`` and
+``XPoly`` only name their coefficient ring and how they print, and an
+operand of a lower rung is lifted to the higher one.
 Every object is immutable and every operation is exact; no floating
 point enters this module or anything built on it.
 """
@@ -15,6 +18,7 @@ from math import factorial
 
 __all__ = [
     "Rational",
+    "Poly",
     "LambdaPoly",
     "XPoly",
     "TruncatedSeries",
@@ -85,40 +89,45 @@ def rising_scalar(a, k: int):
     return out
 
 
-class LambdaPoly:
-    """Polynomial in the deformation parameter with rational coefficients.
+class Poly:
+    """Polynomial over one rung of the tower, in canonical form: the
+    coefficients ascend by degree with no trailing zeros, so equality and
+    hashing are structural.
 
-    Canonical form: coefficients ascending by degree, no trailing zeros,
-    so equality and hashing are structural.
+    A rung only names its coefficient ring: ``_coeff`` coerces one
+    coefficient (or evaluation point) and raises TypeError otherwise,
+    ``_lift`` turns a lower-rung operand into a coefficient or returns
+    None, and ``_ZERO`` is the ring's zero.  An operand that neither is
+    this rung nor lifts to it (a higher rung, a float, a str) gives
+    NotImplemented, so Python hands the operation to the other side.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [self._coeff(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "LambdaPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "LambdaPoly":
+    def one(cls):
         return cls((1,))
 
     @classmethod
-    def constant(cls, value) -> "LambdaPoly":
-        return cls((as_rational(value),))
+    def constant(cls, value):
+        return cls((value,))
 
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, LambdaPoly):
+    @classmethod
+    def _coerce(cls, value):
+        if isinstance(value, cls):
             return value
-        if isinstance(value, (int, Fraction)):
-            return LambdaPoly((value,))
-        return None
+        c = cls._lift(value)
+        return None if c is None else cls((c,))
 
     @property
     def coeffs(self) -> tuple:
@@ -131,35 +140,31 @@ class LambdaPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, i: int) -> Fraction:
-        return self._coeffs[i] if 0 <= i < len(self._coeffs) else Fraction(0)
+    def coefficient(self, i: int):
+        return self._coeffs[i] if 0 <= i < len(self._coeffs) else self._ZERO
 
-    def __call__(self, lam_value) -> Fraction:
-        lam_value = as_rational(lam_value)
-        acc = Fraction(0)
+    def __call__(self, value):
+        """Horner evaluation at a point of the coefficient ring; an XPoly
+        evaluated at x still carries l."""
+        point = self._coeff(value)
+        acc = self._ZERO
         for c in reversed(self._coeffs):
-            acc = acc * lam_value + c
+            acc = acc * point + c
         return acc
 
     def __add__(self, other):
-        if isinstance(other, XPoly):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         n = max(len(self._coeffs), len(o._coeffs))
-        return LambdaPoly(
-            [self.coefficient(i) + o.coefficient(i) for i in range(n)]
-        )
+        return type(self)([self.coefficient(i) + o.coefficient(i) for i in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaPoly([-c for c in self._coeffs])
+        return type(self)([-c for c in self._coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, XPoly):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -172,52 +177,57 @@ class LambdaPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, XPoly):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not self._coeffs or not o._coeffs:
-            return LambdaPoly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(o._coeffs) - 1)
+            return type(self)()
+        out = [self._ZERO] * (len(self._coeffs) + len(o._coeffs) - 1)
         for i, a in enumerate(self._coeffs):
             for j, b in enumerate(o._coeffs):
-                out[i + j] += a * b
-        return LambdaPoly(out)
+                out[i + j] = out[i + j] + a * b
+        return type(self)(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        q = as_rational(other)
-        return self * (Fraction(1) / q)
+        return self * (Fraction(1) / as_rational(other))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        acc = LambdaPoly.one()
+        acc = self.one()
         for _ in range(n):
             acc = acc * self
         return acc
 
     def __eq__(self, other):
-        if isinstance(other, XPoly):
-            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self._coeffs == o._coeffs
 
     def __hash__(self):
-        # degree-0 polynomials hash like their scalar so that x == y
-        # implies hash(x) == hash(y) across the coercion boundary
-        if not self._coeffs:
-            return hash(Fraction(0))
-        if len(self._coeffs) == 1:
-            return hash(self._coeffs[0])
+        # a constant hashes like its coefficient, so that x == y implies
+        # hash(x) == hash(y) across the coercion boundary
+        if len(self._coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(self._coeffs)
 
     def __bool__(self):
         return bool(self._coeffs)
+
+
+class LambdaPoly(Poly):
+    """Polynomial in the deformation parameter with rational coefficients."""
+
+    __slots__ = ()
+    _ZERO = Fraction(0)
+    _coeff = staticmethod(as_rational)
+
+    @staticmethod
+    def _lift(value):
+        return value if isinstance(value, (int, Fraction)) else None
 
     def __repr__(self):
         return f"LambdaPoly({list(self._coeffs)!r})"
@@ -246,141 +256,23 @@ class LambdaPoly:
 LAMBDA = LambdaPoly((0, 1))
 
 
-class XPoly:
-    """Polynomial in x whose coefficients are LambdaPoly, canonical form."""
+class XPoly(Poly):
+    """Polynomial in x whose coefficients are LambdaPoly."""
 
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            lp = LambdaPoly._coerce(c)
-            if lp is None:
-                raise TypeError(f"cannot use {c!r} as an x-coefficient")
-            cs.append(lp)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "XPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "XPoly":
-        return cls((LambdaPoly.one(),))
-
-    @classmethod
-    def constant(cls, value) -> "XPoly":
-        lp = LambdaPoly._coerce(value)
-        if lp is None:
-            raise TypeError(f"cannot use {value!r} as a constant")
-        return cls((lp,))
+    __slots__ = ()
+    _ZERO = LambdaPoly()
+    _lift = staticmethod(LambdaPoly._coerce)
 
     @staticmethod
-    def _coerce(value):
-        if isinstance(value, XPoly):
-            return value
+    def _coeff(value):
         lp = LambdaPoly._coerce(value)
         if lp is None:
-            return None
-        return XPoly((lp,))
-
-    @property
-    def coeffs(self) -> tuple:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def coefficient(self, k: int) -> LambdaPoly:
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else LambdaPoly.zero()
-
-    def __call__(self, x_value) -> LambdaPoly:
-        """Substitute the outer indeterminate; the result still carries l."""
-        xv = LambdaPoly._coerce(x_value)
-        if xv is None:
-            raise TypeError(f"cannot evaluate at {x_value!r}")
-        acc = LambdaPoly.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * xv + c
-        return acc
+            raise TypeError(f"cannot use {value!r} as a polynomial in l")
+        return lp
 
     def at_lambda(self, lam_value) -> "XPoly":
         """Substitute a rational for l in every coefficient."""
-        return XPoly([LambdaPoly.constant(c(lam_value)) for c in self._coeffs])
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self._coeffs), len(o._coeffs))
-        return XPoly([self.coefficient(i) + o.coefficient(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return XPoly([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return NotImplemented
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self._coeffs or not o._coeffs:
-            return XPoly()
-        out = [LambdaPoly.zero()] * (len(self._coeffs) + len(o._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(o._coeffs):
-                out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = as_rational(other)
-        return self * (Fraction(1) / q)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        acc = XPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._coeffs == o._coeffs
-
-    def __hash__(self):
-        if not self._coeffs:
-            return hash(Fraction(0))
-        if len(self._coeffs) == 1:
-            return hash(self._coeffs[0])
-        return hash(self._coeffs)
-
-    def __bool__(self):
-        return bool(self._coeffs)
+        return XPoly([c(lam_value) for c in self._coeffs])
 
     def __repr__(self):
         return f"XPoly({[str(c) for c in self._coeffs]!r})"
@@ -405,7 +297,7 @@ class XPoly:
         return " + ".join(parts)
 
 
-X = XPoly((LambdaPoly.zero(), LambdaPoly.one()))
+X = XPoly((0, 1))
 
 
 def divmod_linear(p: XPoly, root) -> tuple[XPoly, LambdaPoly]:
@@ -435,18 +327,12 @@ def gen_falling(base, n: int):
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("order must be a nonnegative integer")
-    if isinstance(base, XPoly):
-        step = XPoly.constant(LAMBDA)
-        acc = XPoly.one()
-    else:
-        lp = LambdaPoly._coerce(base)
-        if lp is None:
-            raise TypeError(f"cannot take a step-l falling factorial of {base!r}")
-        base = lp
-        step = LAMBDA
-        acc = LambdaPoly.one()
+    lifted = base if isinstance(base, Poly) else LambdaPoly._coerce(base)
+    if lifted is None:
+        raise TypeError(f"cannot take a step-l falling factorial of {base!r}")
+    acc = lifted.one()
     for j in range(n):
-        acc = acc * (base - j * step)
+        acc = acc * (lifted - j * LAMBDA)
     return acc
 
 

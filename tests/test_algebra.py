@@ -1,5 +1,6 @@
 """Ring, evaluation and series behaviour of the exact arithmetic tower."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,42 @@ def test_scalar_equality_and_hash_agree():
     assert hash(LambdaPoly.constant(5)) == hash(Fraction(5))
     assert XPoly.constant(5) == LambdaPoly.constant(5)
     assert hash(XPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
+
+
+def test_mixed_rung_operations_return_the_higher_rung():
+    # rung of each operand: 0 scalar, 1 LambdaPoly, 2 XPoly
+    operands = [
+        (3, 0), (Fraction(-1, 2), 0),
+        (2 - LAMBDA, 1), (LambdaPoly.constant(5), 1),
+        (X * X - LAMBDA * X + 1, 2), (XPoly.constant(Fraction(1, 3)), 2),
+    ]
+    for a, ra in operands:
+        for b, rb in operands:
+            top = max(ra, rb)
+            if top == 0:
+                continue
+            rung = (LambdaPoly, XPoly)[top - 1]
+            la = a if ra == top else rung.constant(a)
+            lb = b if rb == top else rung.constant(b)
+            for op in (operator.add, operator.sub, operator.mul):
+                got = op(a, b)
+                assert type(got) is rung
+                assert got.coeffs == op(la, lb).coeffs
+            assert (a == b) is (la.coeffs == lb.coeffs)
+    series = degenerate_exp_series(1, 3)
+    assert type(X * series) is TruncatedSeries
+    assert type(series * LAMBDA) is TruncatedSeries
+    assert X * series == series * X
+    for bad in (0.5, "1/2"):
+        for poly in (LAMBDA, X):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(poly, bad)
+                with pytest.raises(TypeError):
+                    op(bad, poly)
+    assert LambdaPoly.constant("1/2") == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        XPoly.constant("1/2")
 
 
 def test_lambda_poly_arithmetic_examples():

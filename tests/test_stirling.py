@@ -262,6 +262,14 @@ def test_lah_classical_limit():
             assert lah_degenerate(n, k)(0) == want
 
 
+def test_signed_lah_is_the_sign_twisted_lah_row():
+    # x -> -x and <-x>_k = (-1)^k (x)_k turn one product into the other
+    for n in range(10):
+        for k in range(n + 3):
+            sign = -1 if (n - k) % 2 else 1
+            assert lah_signed_degenerate(n, k) == sign * lah_degenerate(n, k)
+
+
 def test_signed_lah_classical_limit():
     for n in range(7):
         for k in range(n + 2):
