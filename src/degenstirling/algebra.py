@@ -13,6 +13,7 @@ point enters this module or anything built on it.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
@@ -48,8 +49,15 @@ def as_rational(value) -> Fraction:
 
 
 def rational_str(q: Fraction) -> str:
-    """Canonical wire form "p/q", denominator always present ("3" -> "3/1")."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical wire form "p/q", denominator always present ("3" -> "3/1").
+
+    Exact at any size: an integer longer than the interpreter's int-to-str
+    digit limit is written through Decimal, which has no such limit, and
+    the process-wide limit is left as it is."""
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _pretty_rational(q: Fraction) -> str:

@@ -191,11 +191,17 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     _require(tol > 0, f"tol must be positive, got {tol}")
 
     u, v = lam.numerator, lam.denominator
+    # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
+    # so each distinct falling factorial is computed once per term (at
+    # s = r every shift is 0: once, not n times)
+    factors = [((j - 1) * (r - s), (n - j) * u) for j in range(1, n + 1)]
 
-    def coeff(k: int) -> int:  # v^n times the product, l = u/v
-        out = 1
-        for j in range(1, n + 1):
-            out *= falling_scalar(k + (j - 1) * (r - s), s) * v - (n - j) * u
+    def coeff(k: int) -> int:  # v^n times the product
+        out, shift, fall = 1, None, 0
+        for c, drop in factors:
+            if c != shift:
+                shift, fall = c, falling_scalar(k + c, s) * v
+            out *= fall - drop
         return out
 
     k0 = _factored_start(x, n, s, n * abs(lam))

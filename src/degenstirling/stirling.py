@@ -1,16 +1,20 @@
 """Degenerate Stirling, shifted-Stirling and Lah rows.
 
-Each family is a generating polynomial in x, with coefficients in l, plus
-a basis: its row is the polynomial's coefficients over the falling or
-rising factorial basis.  The central one is the (r, s) row
+Each family's row is the coefficients, over the falling or rising
+factorial basis, of a product of factors (x + c)_depth - d l in x with
+coefficients in l.  The central one is the (r, s) row
 
     prod_{j=1..n} [ (x + (j-1)(r-s))_s - (n-j) l ]  =  sum_k S(n, k) (x)_k.
 
-FAMILIES registers each family once, and family_row expands it with the
-one basis converter, _basis_expand.  stirling_rs_degenerate, the paper's
-alternating-sum closed form, shares no code with that route and is kept
-as its oracle.  Everything is exact LambdaPoly arithmetic; classical
-values are only ever obtained by evaluating at l = 0.
+FAMILIES registers each family as its factor list of (c, depth, d) and
+its basis.  family_row absorbs the factors one linear piece at a time into
+a row of int lists in l, without building the polynomial.
+Family.polynomial multiplies the same list out in x, and the basis
+converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
+synthetic division: the kernel's second route, which the tests use.
+stirling_rs_degenerate, the paper's alternating-sum closed form, shares
+no code with either and is kept as an oracle too.  Every result is exact;
+classical values are only ever obtained by evaluating at l = 0.
 """
 
 from __future__ import annotations
@@ -131,51 +135,75 @@ def to_rising_basis(p: XPoly) -> BasisCoeffs:
 # ---------------------------------------------------------------------------
 # the family registry
 
-def _rs_product(n: int, r: int, s: int) -> XPoly:
-    """prod_{j=1..n} [(x + (j-1)(r-s))_s - (n-j) l]."""
-    p = XPoly.one()
-    for j in range(1, n + 1):
-        shifted = XPoly.one()
-        c = (j - 1) * (r - s)
-        for i in range(s):
-            shifted = shifted * (X + (c - i))
-        p = p * (shifted - (n - j) * LAMBDA)
-    return p
+def _expand_factors(factors, falling: bool) -> tuple:
+    """The product of the factors (x + c)_depth - d l over the falling (or
+    rising) basis, in plain ints: one int coefficient list in l per basis
+    element, all of one length.  Each linear piece x + a of (x + c)_depth =
+    (x + c)(x + c - 1)...(x + c - depth + 1) is absorbed by
 
+        (x + a)(x)_k = (x)_{k+1} + (k + a)(x)_k,
+        (x + a)<x>_k = <x>_{k+1} + (a - k)<x>_k,
 
-def _lah_product(n: int, sign: int) -> XPoly:
-    """prod_{i=1..n} (x + sign * ((i-1) - (n-i) l))."""
-    p = XPoly.one()
-    for i in range(1, n + 1):
-        p = p * (X + sign * ((i - 1) - (n - i) * LAMBDA))
-    return p
+    then d l times the row the factor started from is subtracted.  For
+    stirling2 this is Carlitz's S(n+1, k) = S(n, k-1) + (k - n l) S(n, k).
+    No list is changed in place once built, so rows may share them.  The
+    LambdaPolys are built once, at the end."""
+    sign = 1 if falling else -1
+    row = [[1]]
+    for c, depth, d in factors:
+        start = row
+        for a in range(c, c - depth, -1):
+            row = [[a * v for v in row[0]]] + [
+                [u + (a + sign * k) * v for u, v in zip(row[k - 1], row[k])]
+                for k in range(1, len(row))
+            ] + [row[-1]]
+        if d:
+            row = [[*u, 0] for u in row]
+            for k, coeffs in enumerate(start):
+                row[k] = [u - d * v for u, v in zip(row[k], [0, *coeffs])]
+    return tuple(LambdaPoly(coeffs) for coeffs in row)
 
 
 @dataclass(frozen=True)
 class Family:
-    """One coefficient family: the row for n is polynomial(n, *params)
-    expanded over basis; check raises ValueError outside the domain."""
+    """One coefficient family: the row for n is the product of the factors
+    (x + c)_depth - d l listed by factors(n, *params), expanded over basis;
+    check raises ValueError outside the domain."""
 
     params: tuple  # parameter names, in call order
     least_n: int
-    polynomial: Callable[..., XPoly]
+    factors: Callable[..., list]  # (n, *params) -> [(c, depth, d), ...]
     basis: str = "falling"  # or "rising"
     check: Callable[..., None] = lambda *params: None
 
+    def polynomial(self, n: int, *params) -> XPoly:
+        """The generating polynomial: the factor list multiplied out in x."""
+        p = XPoly.one()
+        for c, depth, d in self.factors(n, *params):
+            piece = XPoly.one()
+            for i in range(depth):
+                piece = piece * (X + (c - i))
+            p = p * (piece - d * LAMBDA)
+        return p
+
 
 FAMILIES = {
-    "stirling2": Family((), 0, gen_falling_factorial),  # (x)_{n,l}
-    "stirling-rs": Family(("r", "s"), 1, _rs_product, check=_require_rs),
+    "stirling2": Family((), 0, lambda n: [(0, 1, j) for j in range(n)]),  # (x)_{n,l}
+    "stirling-rs": Family(
+        ("r", "s"), 1, lambda n, r, s: [((j - 1) * (r - s), s, n - j) for j in range(1, n + 1)],
+        check=_require_rs,
+    ),
     "stirling-rr": Family(  # ((x)_r)_{n,l}, the (r, r) product telescoped
-        ("r",), 1, lambda n, r: gen_falling(falling_basis_poly(r), n),
+        ("r",), 1, lambda n, r: [(0, r, j) for j in range(n)],
         check=lambda r: _require_at_least("r", r, 1),
     ),
     "r-stirling": Family(  # (x+r)_{n,l}
-        ("r",), 0, lambda n, r: gen_falling(X + r, n),
+        ("r",), 0, lambda n, r: [(r, 1, j) for j in range(n)],
         check=lambda r: _require_at_least("r", r, 0),
     ),
-    "lah": Family((), 0, lambda n: _lah_product(n, 1)),
-    "lah-signed": Family((), 0, lambda n: _lah_product(n, -1), "rising"),
+    # prod_i (x + (i-1) - (n-i) l), and prod_i (x - (i-1) + (n-i) l) over the rising basis
+    "lah": Family((), 0, lambda n: [(i - 1, 1, n - i) for i in range(1, n + 1)]),
+    "lah-signed": Family((), 0, lambda n: [(1 - i, 1, i - n) for i in range(1, n + 1)], "rising"),
 }
 
 
@@ -187,7 +215,8 @@ def family_row(name: str, n: int, *params) -> BasisCoeffs:
     family = FAMILIES[name]
     _require_at_least("n", n, family.least_n)
     family.check(*params)
-    return _basis_expand(family.polynomial(n, *params), family.basis == "falling")
+    coefficients = _expand_factors(family.factors(n, *params), family.basis == "falling")
+    return BasisCoeffs(coefficients, family.basis)
 
 
 def _entry(row: BasisCoeffs, k: int) -> LambdaPoly:

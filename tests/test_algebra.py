@@ -1,6 +1,7 @@
 """Ring, evaluation and series behaviour of the exact arithmetic tower."""
 
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from degenstirling.algebra import (
     divmod_linear,
     falling_scalar,
     gen_falling,
+    rational_str,
     rising_scalar,
     series_exp,
 )
@@ -31,6 +33,16 @@ def test_canonical_form_strips_trailing_zeros():
     assert LambdaPoly([0, 0]).is_zero()
     assert XPoly([LambdaPoly([0]), LambdaPoly([1])]).degree == 1
     assert XPoly([0, 0]).is_zero()
+
+
+def test_rational_str_is_exact_past_the_int_digit_limit():
+    assert rational_str(Fraction(3)) == "3/1"
+    assert rational_str(Fraction(-6, 4)) == "-3/2"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = Fraction(-(10 ** 6000) - 7, 10 ** 5000 + 1)
+    assert rational_str(big) == f"-1{'0' * 5999}7/1{'0' * 4999}1"
+    # the process-wide limit is left as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_floats_are_rejected():

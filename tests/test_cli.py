@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from degenstirling import cli, stirling
+from degenstirling import bell, cli, stirling
+from degenstirling.algebra import rational_str
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -163,6 +164,19 @@ def test_dobinski_subcommand(capsys):
     assert doc["terms_used"] >= 1
 
 
+def test_dobinski_prints_a_value_past_the_int_digit_limit(capsys):
+    # the value has more digits than Python's default int-to-str limit; it
+    # is printed exactly, not reported as a usage error
+    argv = ["dobinski", "--n", "2", "--r", "1", "--s", "1", "--x", "1", "--lambda", "1000"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    res = bell.dobinski_eval(2, 1, 1, 1, 1000, Fraction(1, 10 ** 12))
+    assert doc["value"] == rational_str(res.value)
+    assert doc["tail_bound"] == rational_str(res.tail_bound)
+    assert len(doc["value"]) > 4300
+
+
 def test_dobinski_domain_error(capsys):
     code, _, err = run(
         capsys,
@@ -208,6 +222,34 @@ def test_verify_dobinski_suite(capsys):
     assert code == 0
     assert all(c["pass"] for c in doc["checks"])
     assert any(c["identity"].startswith("gamma-ratio") for c in doc["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("table stirling2 --n 60",
+         "808a70db6875f593904c33850ec204b1d70a59eecea8db3694349a0e163f0a51"),
+        ("table stirling-rs --n 24 --r 3 --s 2",
+         "1cd6eced10b7d74a54350e6ca1f373e5c5aaf4d9feae9de9c2ff77794310b320"),
+        ("table stirling-rr --n 12 --r 3",
+         "e08966336e662b64a0d0a8efde6d976e3f26cd98c40f22509410911395e4fc85"),
+        ("table r-stirling --n 30 --r 3",
+         "40a0dfd4d2da1cb711c30800608bb758d327d5a3f465cba5b121a7fe66c7d074"),
+        ("table lah --n 30",
+         "a25d6f8992a53d9467c888703b2c2ca63054f90f0d6a6a4144b6e8af68102bd8"),
+        ("table lah-signed --n 30",
+         "ece6b587897ad4d71a721b12ff5686dc29a12133520d3dccdd3558aa9e53cbc7"),
+        ("table r-bell --n 20 --r 2 --format csv",
+         "097bffecfb633a9b164e6519809b7e4a39aff123947dc825a7edbd00acd45270"),
+        ("table bell-rs --n 16 --r 4 --s 3 --eval-lambda=-7/3",
+         "f69fa4f68380d5fc570b4166b34c86cd2c9c18459cf78ed3ff9dae8ffe38ec14"),
+    ],
+)
+def test_large_rows_are_pinned(capsys, argv, digest):
+    # the bytes of rows far past the sizes the worked examples cover
+    code, out, err = run(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_release_gate_output_is_pinned(capsys):

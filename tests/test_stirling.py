@@ -104,6 +104,56 @@ def test_family_rows_run_to_the_degree_of_their_polynomial():
         assert row.coefficients[-1] == 1
 
 
+def _registry_shapes(most_n: int, most_r: int):
+    """(name, n, *params) for every family, 0 <= n <= most_n, r <= most_r
+    and every valid s."""
+    for name, family in stirling.FAMILIES.items():
+        if family.params == ("r", "s"):
+            grid = [(r, s) for r in range(1, most_r + 1) for s in range(1, r + 1)]
+        elif family.params == ("r",):
+            grid = [(r,) for r in range(0 if name == "r-stirling" else 1, most_r + 1)]
+        else:
+            grid = [()]
+        for n in range(family.least_n, most_n + 1):
+            for params in grid:
+                yield (name, n, *params)
+
+
+def test_family_rows_equal_their_polynomial_over_the_basis():
+    # the integer kernel against the factor list multiplied out in x and
+    # peeled by synthetic division
+    for name, n, *params in _registry_shapes(10, 4):
+        family = stirling.FAMILIES[name]
+        expand = to_falling_basis if family.basis == "falling" else to_rising_basis
+        assert family_row(name, n, *params) == expand(family.polynomial(n, *params)), (
+            name, n, params,
+        )
+
+
+def test_stirling2_rows_follow_the_carlitz_recurrence():
+    # S(n+1, k) = S(n, k-1) + (k - n l) S(n, k), with full l
+    for n in range(13):
+        for k in range(n + 3):
+            previous = stirling2_degenerate(n, k - 1) if k else LambdaPoly.zero()
+            assert stirling2_degenerate(n + 1, k) == previous + (
+                k - n * LAMBDA
+            ) * stirling2_degenerate(n, k), (n, k)
+
+
+def test_family_polynomials_are_the_documented_products():
+    assert stirling.FAMILIES["stirling2"].polynomial(3) == gen_falling_factorial(3)
+    assert stirling.FAMILIES["stirling-rr"].polynomial(3, 2) == (
+        falling_basis_poly(2) * (falling_basis_poly(2) - LAMBDA)
+        * (falling_basis_poly(2) - 2 * LAMBDA)
+    )
+    assert stirling.FAMILIES["r-stirling"].polynomial(2, 3) == (X + 3) * (X + 3 - LAMBDA)
+    assert stirling.FAMILIES["stirling-rs"].polynomial(2, 3, 2) == (
+        (X * (X - 1) - LAMBDA) * ((X + 1) * X)
+    )
+    assert stirling.FAMILIES["lah"].polynomial(2) == (X - LAMBDA) * (X + 1)
+    assert stirling.FAMILIES["lah-signed"].polynomial(2) == (X + LAMBDA) * (X - 1)
+
+
 def test_family_row_validates_its_arguments():
     with pytest.raises(KeyError):
         family_row("nosuch", 1)
