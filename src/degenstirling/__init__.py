@@ -50,13 +50,6 @@ from .stirling import (
     to_falling_basis,
     to_rising_basis,
 )
-from .weyl import (
-    MonomialImage,
-    NormalForm,
-    apply_to_monomial,
-    degenerate_product,
-    difference_extract,
-    extract_stirling,
-)
+from .weyl import NormalForm, degenerate_product, extract_stirling
 
 __version__ = "0.1.0"

@@ -12,8 +12,11 @@ a row of int lists in l, without building the polynomial.
 Family.polynomial multiplies the same list out in x, and the basis
 converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
 synthetic division: the kernel's second route, which the tests use.
-stirling_rs_degenerate, the paper's alternating-sum closed form, shares
-no code with either and is kept as an oracle too.  Every result is exact;
+stirling_rs_degenerate is the finite-difference route: the paper's
+alternating sum, which takes the k-th Newton difference at 0 of the
+defining product evaluated at x = 0, 1, ..., k.  It shares no code with
+the kernel or with the Weyl engine (weyl.degenerate_product), and
+verify's triple-oracle checks compare all three.  Every result is exact;
 classical values are only ever obtained by evaluating at l = 0.
 """
 
@@ -56,7 +59,12 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+# One bound for every cache in this module, so that no process grows without
+# limit; a full `degenstirling verify` fills at most 244 entries of any one.
+_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def falling_basis_poly(k: int) -> XPoly:
     """(x)_k = x(x-1)...(x-k+1) as an XPoly."""
     _require_at_least("k", k, 0)
@@ -66,7 +74,6 @@ def falling_basis_poly(k: int) -> XPoly:
     return p
 
 
-@lru_cache(maxsize=None)
 def rising_basis_poly(k: int) -> XPoly:
     """<x>_k = x(x+1)...(x+k-1) as an XPoly."""
     _require_at_least("k", k, 0)
@@ -207,7 +214,7 @@ FAMILIES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def family_row(name: str, n: int, *params) -> BasisCoeffs:
     """The row of a registered family: its generating polynomial for n and
     params (in the family's parameter order) over its basis, one entry per
@@ -235,12 +242,16 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
     return _entry(family_row("stirling2", n), k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
     """The (r, s) row entry via the alternating closed form
 
         S(n, k) = ((-1)^k / k!) sum_p (-1)^p C(k, p)
-                  prod_{j=1..n} [ (p + (j-1)(r-s))_s - (n-j) l ].
+                  prod_{j=1..n} [ (p + (j-1)(r-s))_s - (n-j) l ],
+
+    the k-th Newton difference at 0 of the defining product over k!, which
+    picks out the coefficient of (x)_k because sum_p (-1)^(k-p) C(k, p)
+    (p)_j = k! when j = k and 0 otherwise.
 
     Returns the canonical zero for k > n*s, and checks that the formula
     itself vanishes there.

@@ -14,23 +14,24 @@ against.  degenerate_product uses the same reordering formula, but its
 product lives on one diagonal (i - j fixed by the number of factors) and
 has integer coefficients in l, so it absorbs one factor at a time into a
 row indexed by the annihilation power, in plain int arithmetic.
+
+The row extract_stirling reads off degenerate_product is the (r, s)
+Stirling row by normal ordering.  It is one of the three routes that
+verify's triple-oracle checks compare, with the alternating sum
+stirling.stirling_rs_degenerate and the factor kernel stirling.family_row;
+it shares no code with either.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import LambdaPoly, _require, _require_at_least, _require_rs, falling_scalar
+from .algebra import LambdaPoly, _require, _require_rs
 
 __all__ = [
     "NormalForm",
-    "MonomialImage",
     "degenerate_product",
     "extract_stirling",
-    "apply_to_monomial",
-    "difference_extract",
 ]
 
 
@@ -148,55 +149,12 @@ class NormalForm:
         return f"NormalForm({{{body}}})"
 
 
-class MonomialImage:
-    """Image of a single monomial x^p under an operator in the differential
-    realisation a = d/dx, a+ = (multiply by x): exponent -> coefficient."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=()):
-        cleaned = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for e, coeff in items:
-            _require(isinstance(e, int) and e >= 0, f"bad exponent {e!r}")
-            lp = LambdaPoly._coerce(coeff)
-            if lp is None:
-                raise TypeError(f"cannot use {coeff!r} as a coefficient")
-            if not lp.is_zero():
-                cleaned[e] = lp
-        self._terms = cleaned
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def coefficient(self, exponent: int) -> LambdaPoly:
-        return self._terms.get(exponent, LambdaPoly.zero())
-
-    def evaluate_at_one(self) -> LambdaPoly:
-        """Value of the image polynomial at x = 1 (sum of coefficients)."""
-        acc = LambdaPoly.zero()
-        for c in self._terms.values():
-            acc = acc + c
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialImage):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self):
-        body = ", ".join(f"{e}: {c}" for e, c in sorted(self._terms.items()))
-        return f"MonomialImage({{{body}}})"
-
-
 def _absorb(src: list, weight: int, dst: list, shift: int):
     """dst += weight * l^shift * src, for coefficient lists ascending in l."""
     for d, c in enumerate(src, shift):
         dst[d] += weight * c
 
 
-@lru_cache(maxsize=None)
 def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     """Normal form of the product over k = 0..n-1 of
     ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost.
@@ -244,32 +202,3 @@ def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:
                 f"expected keys ({shift}+k, k) with k <= {top}"
             )
     return [nf.coefficient(shift + k, k) for k in range(top + 1)]
-
-
-def apply_to_monomial(nf: NormalForm, p: int) -> MonomialImage:
-    """Apply sum c_ij x^i (d/dx)^j to x^p:  x^p -> sum c_ij (p)_j x^(p+i-j)."""
-    _require(isinstance(p, int) and p >= 0, f"exponent must be >= 0, got {p!r}")
-    out = {}
-    for (i, j), c in nf.terms.items():
-        if j > p:
-            continue
-        fall = falling_scalar(p, j)
-        e = p + i - j
-        acc = out.get(e, LambdaPoly.zero()) + fall * c
-        out[e] = acc
-    return MonomialImage(out)
-
-
-def difference_extract(n: int, r: int, s: int, k: int) -> LambdaPoly:
-    """S(n, k) recovered by applying the degenerate operator product to the
-    binomial expansion of (1-x)^k and evaluating at x = 1, scaled by
-    (-1)^k / k!.  Shares no formula with the closed-form route, so the two
-    can check each other."""
-    _require_at_least("k", k, 0)
-    nf = degenerate_product(n, r, s)
-    total = LambdaPoly.zero()
-    for p in range(k + 1):
-        img = apply_to_monomial(nf, p)
-        sign = -1 if p % 2 else 1
-        total = total + (sign * comb(k, p)) * img.evaluate_at_one()
-    return total * Fraction((-1) ** k, factorial(k))

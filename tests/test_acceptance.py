@@ -64,8 +64,8 @@ def test_criterion_02_triple_oracle_equality():
             engine = weyl.extract_stirling(weyl.degenerate_product(n, r, s), n, r, s)
             for k in range(n * s + 1):
                 closed = stirling.stirling_rs_degenerate(n, k, r, s)
-                diff = weyl.difference_extract(n, r, s, k)
-                ok = ok and closed == engine[k] == diff
+                kernel = stirling.family_row("stirling-rs", n, r, s).coefficient(k)
+                ok = ok and closed == engine[k] == kernel
                 cells += 1
     _accept("triple-oracle-equality", ok and cells >= 180)
 

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: output bytes, exit codes, verification suites."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenstirling import bell, cli, stirling
 from degenstirling.algebra import rational_str
@@ -320,6 +324,141 @@ def test_verify_reports_a_closed_form_that_fails_to_vanish(capsys, monkeypatch):
     vanish = checks["vanish-beyond-ns[n=1,r=1,s=1]"]
     assert vanish["pass"] is False
     assert vanish["detail"] == "alternating sum failed to vanish beyond n*s"
+
+
+def test_verify_compares_the_factor_kernel_row(capsys, monkeypatch):
+    # a kernel row that is wrong off the balanced case must fail the
+    # triple-oracle checks, which compare it with the closed form and the
+    # Weyl row
+    real = stirling.family_row
+
+    def bumped(name, n, *params):
+        row = real(name, n, *params)
+        if name == "stirling-rs" and params[0] > params[1]:
+            cells = list(row.coefficients)
+            cells[1] = cells[1] + 1
+            row = stirling.BasisCoeffs(tuple(cells), row.basis)
+        return row
+
+    monkeypatch.setattr(stirling, "family_row", bumped)
+    code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "oracles"])
+    assert (code, err) == (1, "")
+    assert cli.canonical_json(json.loads(out)) + "\n" == out
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    failed = {c["identity"]: c.get("detail") for c in doc["checks"] if not c["pass"]}
+    assert failed == {
+        f"triple-oracle[n={n},r={r},s={s}]": "first mismatch at k=1"
+        for r, s in ((2, 1), (3, 1), (3, 2))
+        for n in range(1, 5)
+    }
+
+
+def _main(argv) -> tuple:
+    # capsys is function-scoped, which Hypothesis does not reset per example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _rat_arg(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+_SMALL_RATS = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_POSITIVE_RATS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_NONPOSITIVE_RATS = st.fractions(min_value=-9, max_value=0, max_denominator=9)
+
+# family -> (least n, least r, its parameter flags); r >= s >= 1 where both are taken
+_TABLE_DOMAIN = {
+    "stirling2": (0, None, ()),
+    "stirling-rs": (1, 1, ("r", "s")),
+    "stirling-rr": (1, 1, ("r",)),
+    "r-stirling": (0, 0, ("r",)),
+    "lah": (0, None, ()),
+    "lah-signed": (0, None, ()),
+    "bell-rs": (0, 1, ("r", "s")),
+    "r-bell": (0, 0, ("r",)),
+}
+
+
+@st.composite
+def _valid_requests(draw):
+    command = draw(st.sampled_from(["table", "normal-order", "dobinski"]))
+    if command == "table":
+        family = draw(st.sampled_from(sorted(_TABLE_DOMAIN)))
+        least_n, least_r, flags = _TABLE_DOMAIN[family]
+        argv = ["table", family, "--n", str(draw(st.integers(least_n, 8)))]
+        if flags:
+            r = draw(st.integers(least_r, 4))
+            argv += ["--r", str(r)]
+            if "s" in flags:
+                argv += ["--s", str(draw(st.integers(1, r)))]
+        if draw(st.booleans()):
+            argv.append(f"--eval-lambda={_rat_arg(draw(_SMALL_RATS))}")
+        return argv
+    r = draw(st.integers(1, 3))
+    argv = [command, "--n", str(draw(st.integers(1, 3))), "--r", str(r),
+            "--s", str(draw(st.integers(1, r)))]
+    if command == "dobinski":
+        argv += [f"--x={_rat_arg(draw(_POSITIVE_RATS))}",
+                 f"--lambda={_rat_arg(draw(_SMALL_RATS))}",
+                 f"--tol=1/{10 ** draw(st.integers(1, 30))}"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_requests())
+def test_valid_requests_print_canonical_json(argv):
+    code, out, err = _main(argv)
+    assert (code, err) == (0, ""), argv
+    assert cli.canonical_json(json.loads(out)) + "\n" == out
+
+
+@st.composite
+def _out_of_domain_requests(draw):
+    # every argument parses, and exactly one of them is outside its domain
+    command = draw(st.sampled_from(["table", "normal-order", "dobinski"]))
+    if command == "table":
+        family = draw(st.sampled_from(sorted(_TABLE_DOMAIN)))
+        least_n, least_r, flags = _TABLE_DOMAIN[family]
+        values = {"n": least_n, "r": 3, "s": 2}
+        name = draw(st.sampled_from(["n", *flags]))
+        if name == "n":
+            values["n"] = draw(st.integers(-5, least_n - 1))
+        elif name == "r":  # below its least value, or below s = 2
+            values["r"] = draw(st.integers(-5, least_r - 1 if "s" not in flags else 1))
+        else:
+            values["s"] = draw(st.one_of(st.integers(-5, 0), st.integers(4, 9)))
+        argv = ["table", family, f"--n={values['n']}"]
+        return argv + [f"--{flag}={values[flag]}" for flag in flags]
+    values = {"n": 2, "r": 3, "s": 2}
+    name = draw(st.sampled_from(["n", "r", "s", "x", "tol"] if command == "dobinski" else
+                                ["n", "r", "s"]))
+    if name == "n":
+        values["n"] = draw(st.integers(-5, 0))
+    elif name == "r":  # below s = 2
+        values["r"] = draw(st.integers(-5, 1))
+    elif name == "s":
+        values["s"] = draw(st.one_of(st.integers(-5, 0), st.integers(4, 9)))
+    argv = [command] + [f"--{flag}={values[flag]}" for flag in ("n", "r", "s")]
+    if command == "dobinski":
+        x, tol = Fraction(1, 2), Fraction(1, 10 ** 12)
+        if name == "x":
+            x = draw(_NONPOSITIVE_RATS)
+        elif name == "tol":
+            tol = draw(_NONPOSITIVE_RATS)
+        argv += [f"--x={_rat_arg(x)}", "--lambda=1/2", f"--tol={_rat_arg(tol)}"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_out_of_domain_requests())
+def test_out_of_domain_requests_are_usage_errors(argv):
+    code, out, err = _main(argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def _readme_examples() -> list:

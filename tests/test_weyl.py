@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling.algebra import LAMBDA, LambdaPoly
-from degenstirling.weyl import (
-    MonomialImage,
-    NormalForm,
-    apply_to_monomial,
-    degenerate_product,
-    difference_extract,
-    extract_stirling,
-)
+from degenstirling.weyl import NormalForm, degenerate_product, extract_stirling
 
 from .oracles import normal_order_letters, normal_order_power, normal_order_word
 
@@ -155,40 +148,6 @@ def test_extract_stirling_worked_row():
 def test_extract_stirling_rejects_off_diagonal():
     with pytest.raises(ValueError):
         extract_stirling(NormalForm.ladder(1, 1), 2, 4, 2)
-
-
-def test_apply_to_monomial_collapses_to_one_power():
-    nf = degenerate_product(2, 4, 2)
-    for p in range(4):
-        img = apply_to_monomial(nf, p)
-        assert set(img.terms) == {p + 4}
-    # a lowers x^0 to zero, so only the creation part could have survived
-    # and there is none with j = 0 in this product
-    assert apply_to_monomial(degenerate_product(1, 2, 1), 0).terms == {}
-    assert apply_to_monomial(degenerate_product(1, 2, 1), 1).terms == {
-        2: LambdaPoly.one()
-    }
-
-
-def test_apply_to_monomial_number_operator():
-    # (c^dag a) x^p keeps the exponent and multiplies by p
-    num = NormalForm.ladder(1, 1)
-    assert apply_to_monomial(num, 3).terms == {3: LambdaPoly.constant(3)}
-    assert apply_to_monomial(num, 0).terms == {}
-    assert MonomialImage({}).evaluate_at_one() == LambdaPoly.zero()
-
-
-def test_difference_extract_reproduces_row():
-    for k in range(5):
-        assert difference_extract(2, 4, 2, k) == extract_stirling(
-            degenerate_product(2, 4, 2), 2, 4, 2
-        )[k]
-    assert difference_extract(2, 4, 2, 3) == 8
-
-
-def test_difference_extract_vanishes_past_ns():
-    for k in range(5, 9):
-        assert difference_extract(2, 4, 2, k) == LambdaPoly.zero()
 
 
 def test_balanced_product_has_no_net_creation():
