@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,22 @@ def _rat(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+
+
+# argparse reads a token such as "-1/2" after an option as another option;
+# main joins it to one of these as "--lambda=-1/2", which argparse reads as
+# the option's value
+_RATIONAL_OPTIONS = ("--x", "--lambda", "--tol", "--eval-lambda")
+
+
+def _join_negative_rationals(argv: list) -> list:
+    out = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _poly_cells(lp: LambdaPoly) -> list:
@@ -306,8 +323,16 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as one `error:` line, like every other usage error;
+    the subparsers inherit this class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="degenstirling",
         description="Exact degenerate Stirling/Bell/Lah tables, boson normal "
                     "ordering, and series verification.",
@@ -352,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_negative_rationals(argv))
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -14,10 +14,11 @@ converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
 synthetic division: the kernel's second route, which the tests use.
 stirling_rs_degenerate is the finite-difference route: the paper's
 alternating sum, which takes the k-th Newton difference at 0 of the
-defining product evaluated at x = 0, 1, ..., k.  It shares no code with
-the kernel or with the Weyl engine (weyl.degenerate_product), and
-verify's triple-oracle checks compare all three.  Every result is exact;
-classical values are only ever obtained by evaluating at l = 0.
+defining product evaluated at x = 0, 1, ..., k, summed in int lists in l.
+It shares no code with the kernel or with the Weyl engine
+(weyl.degenerate_product), and verify's triple-oracle checks compare all
+three.  Only family_row is memoised.  Every result is exact; classical
+values are only ever obtained by evaluating at l = 0.
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ __all__ = [
 ]
 
 
-# One bound for every cache in this module, so that no process grows without
-# limit; a full `degenstirling verify` fills at most 244 entries of any one.
+# Bound on family_row, the only cache in the package, so that no process grows
+# without limit; a full `degenstirling verify` fills 118 of its entries.
 _CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def falling_basis_poly(k: int) -> XPoly:
     """(x)_k = x(x-1)...(x-k+1) as an XPoly."""
     _require_at_least("k", k, 0)
@@ -105,10 +105,12 @@ class BasisCoeffs:
         return cs[k] if 0 <= k < len(cs) else LambdaPoly.zero()
 
     def to_polynomial(self) -> XPoly:
-        build = falling_basis_poly if self.basis == "falling" else rising_basis_poly
+        # nested multiplication c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...)),
+        # with x + k in the rising basis: no basis polynomial is built
+        step = -1 if self.basis == "falling" else 1
         acc = XPoly.zero()
-        for k, c in enumerate(self.coefficients):
-            acc = acc + build(k) * c
+        for k in reversed(range(len(self.coefficients))):
+            acc = acc * (X + step * k) + self.coefficients[k]
         return acc
 
 
@@ -242,7 +244,6 @@ def stirling2_degenerate(n: int, k: int) -> LambdaPoly:
     return _entry(family_row("stirling2", n), k)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
     """The (r, s) row entry via the alternating closed form
 
@@ -259,20 +260,18 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
     _require_at_least("n", n, 1)
     _require_at_least("k", k, 0)
     _require_rs(r, s)
-    total = LambdaPoly.zero()
+    # each product is an int coefficient list in l with n + 1 entries
+    total = [0] * (n + 1)
     for p in range(k + 1):
-        prod = LambdaPoly.one()
+        prod = [1]
         for j in range(1, n + 1):
-            prod = prod * (
-                LambdaPoly.constant(falling_scalar(p + (j - 1) * (r - s), s))
-                - (n - j) * LAMBDA
-            )
-        sign = -1 if p % 2 else 1
-        total = total + (sign * comb(k, p)) * prod
-    val = total * Fraction((-1) ** k, factorial(k))
-    if k > n * s and not val.is_zero():
+            a, d = falling_scalar(p + (j - 1) * (r - s), s), n - j
+            prod = [a * u - d * v for u, v in zip([*prod, 0], [0, *prod])]
+        weight = (-1) ** (k - p) * comb(k, p)
+        total = [t + weight * c for t, c in zip(total, prod)]
+    if k > n * s and any(total):
         raise ArithmeticError("alternating sum failed to vanish beyond n*s")
-    return val
+    return LambdaPoly([Fraction(c, factorial(k)) for c in total])
 
 
 def stirling_rr_degenerate(n: int, k: int, r: int) -> LambdaPoly:

@@ -137,6 +137,44 @@ def test_bad_flags_exit_via_argparse(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table nosuch --n 1",
+        "table lah --n 1.5",
+        "table lah",
+        "table lah --n 2 --bogus 1",
+        "table lah --n 1 --eval-lambda abc",
+    ],
+)
+def test_bad_flags_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "dobinski --n 2 --r 2 --s 1 --x 1/2 --lambda -1/2",
+        "table stirling-rs --n 3 --r 2 --s 1 --eval-lambda -1/2",
+    ],
+)
+def test_negative_fraction_after_a_space(capsys, argv):
+    spaced = run(capsys, argv.split())
+    joined = run(capsys, argv.replace(" -1/2", "=-1/2").split())
+    assert spaced == joined
+    assert spaced[0] == 0 and '"-1/2"' in spaced[1]
+
+
+def test_negative_x_after_a_space_is_a_domain_error(capsys):
+    argv = "dobinski --n 1 --r 1 --s 1 --x -1/2 --lambda 1".split()
+    assert run(capsys, argv) == (2, "", "error: x must be positive, got -1/2\n")
+
+
 def test_normal_order_worked_product(capsys):
     code, out, _ = run(capsys, ["normal-order", "--n", "2", "--r", "4", "--s", "2"])
     assert code == 0
@@ -309,13 +347,9 @@ def test_verify_reports_a_closed_form_that_fails_to_vanish(capsys, monkeypatch):
     # vanishing check must record a failure, not end verify in a traceback
     real = stirling.falling_scalar
     monkeypatch.setattr(stirling, "falling_scalar", lambda a, k: real(a, k) + (a == 0))
-    stirling.stirling_rs_degenerate.cache_clear()
-    try:
-        code, out, _ = run(
-            capsys, ["verify", "--suite", "oracles", "--max-n", "1", "--max-r", "1"]
-        )
-    finally:
-        stirling.stirling_rs_degenerate.cache_clear()
+    code, out, _ = run(
+        capsys, ["verify", "--suite", "oracles", "--max-n", "1", "--max-r", "1"]
+    )
     assert code == 1
     assert cli.canonical_json(json.loads(out)) == out.strip()
     doc = json.loads(out)

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import degenstirling
+from degenstirling import stirling
 
 SOURCE = Path(degenstirling.__file__).resolve().parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(SOURCE)]))
@@ -30,3 +31,16 @@ def test_no_invariant_depends_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_family_row_is_the_only_cache():
+    # the other row routes are cheap enough to run cold, so a memo table
+    # anywhere else would only hide what they cost
+    modules = [degenstirling, *(importlib.import_module(f"degenstirling.{n}") for n in MODULES)]
+    cached = {
+        id(obj): obj
+        for module in modules
+        for obj in vars(module).values()
+        if callable(getattr(obj, "cache_clear", None))
+    }
+    assert list(cached.values()) == [stirling.family_row]

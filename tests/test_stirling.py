@@ -209,12 +209,8 @@ def test_rs_nonvanishing_beyond_ns_raises(monkeypatch):
     # vanishing of the alternating sum; the check must survive python -O
     real = stirling.falling_scalar
     monkeypatch.setattr(stirling, "falling_scalar", lambda a, k: real(a, k) + (a == 0))
-    stirling_rs_degenerate.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            stirling_rs_degenerate(1, 2, 1, 1)
-    finally:
-        stirling_rs_degenerate.cache_clear()
+    with pytest.raises(ArithmeticError):
+        stirling_rs_degenerate(1, 2, 1, 1)
 
 
 def test_rs_validates_arguments():
