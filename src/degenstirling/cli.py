@@ -40,9 +40,13 @@ def _rat(text: str) -> Fraction:
 
 
 # argparse reads a token such as "-1/2" after an option as another option;
-# main joins it to one of these as "--lambda=-1/2", which argparse reads as
-# the option's value
-_RATIONAL_OPTIONS = ("--x", "--lambda", "--tol", "--eval-lambda")
+# main joins it to one of these options, or to an abbreviation such as
+# "--lam" (no other option begins like them), as "--lam=-1/2", which argparse
+# reads as the option's value
+_RATIONAL_OPTIONS = {
+    name[:end] for name in ("--x", "--lambda", "--tol", "--eval-lambda")
+    for end in range(3, len(name) + 1)
+}
 
 
 def _join_negative_rationals(argv: list) -> list:

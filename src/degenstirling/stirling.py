@@ -11,7 +11,8 @@ its basis.  family_row absorbs the factors one linear piece at a time into
 a row of int lists in l, without building the polynomial.
 Family.polynomial multiplies the same list out in x, and the basis
 converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
-synthetic division: the kernel's second route, which the tests use.
+synthetic division in int lists, over the common denominator cleared once:
+the kernel's second route, which the tests and serieslab's rr-egf use.
 stirling_rs_degenerate is the finite-difference route: the paper's
 alternating sum, which takes the k-th Newton difference at 0 of the
 defining product evaluated at x = 0, 1, ..., k, summed in int lists in l.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable
 
 from .algebra import (
@@ -36,7 +37,6 @@ from .algebra import (
     XPoly,
     _require_at_least,
     _require_rs,
-    divmod_linear,
     falling_scalar,
     gen_falling,
 )
@@ -105,40 +105,69 @@ class BasisCoeffs:
         return cs[k] if 0 <= k < len(cs) else LambdaPoly.zero()
 
     def to_polynomial(self) -> XPoly:
-        # nested multiplication c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...)),
-        # with x + k in the rising basis: no basis polynomial is built
+        # nested multiplication c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...)) on int
+        # lists over one denominator, with x + k in the rising basis
+        rows, den = _cleared(self.coefficients)
         step = -1 if self.basis == "falling" else 1
-        acc = XPoly.zero()
-        for k in reversed(range(len(self.coefficients))):
-            acc = acc * (X + step * k) + self.coefficients[k]
-        return acc
+        acc = []
+        for k in reversed(range(len(rows))):
+            acc = [[u + step * k * v for u, v in zip(lo, hi)]
+                   for lo, hi in zip([rows[k], *acc], [*acc, [0] * len(rows[k])])]
+        return XPoly(_lambda_polys(acc, den))
 
 
-def _basis_expand(p: XPoly, falling: bool) -> BasisCoeffs:
-    # peel one basis element per round: c_k = q(point_k), then divide the
-    # difference by (x - point_k); the remainder must vanish exactly
-    coeffs = []
-    q = p
-    k = 0
-    while not q.is_zero():
-        point = Fraction(k if falling else -k)
-        c = q(point)
-        q, rem = divmod_linear(q - XPoly.constant(c), point)
-        if not rem.is_zero():
+def _cleared(polys) -> tuple:
+    """LambdaPolys as int lists of one length, and their common denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    width = max((len(p.coeffs) for p in polys), default=0)
+    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    return [row + [0] * (width - len(row)) for row in rows], den
+
+
+def _lambda_polys(rows, den: int = 1) -> list:
+    """Int lists in l, divided by den, as LambdaPolys."""
+    return [LambdaPoly(row if den == 1 else [Fraction(v, den) for v in row]) for row in rows]
+
+
+def _basis_expand(q: list, falling: bool) -> list:
+    """An int polynomial in (x, l), a list over the degree in x of int lists
+    in l all of one length, over the falling (or rising) basis, in ints:
+    each round takes c_k = q(k) (or q(-k)) and divides q - c_k by x - k (or
+    x + k) synthetically; the remainder must vanish."""
+    width = len(q[0]) if q else 0
+    out = []
+    point = 0
+    while q:
+        c = [0] * width
+        for a in reversed(q):
+            c = [point * u + v for u, v in zip(c, a)]
+        q = [[u - v for u, v in zip(q[0], c)], *q[1:]]
+        acc, quot = q[-1], []
+        for a in reversed(q[:-1]):
+            quot.append(acc)
+            acc = [u + point * v for u, v in zip(a, acc)]
+        if any(acc):
             raise ArithmeticError("basis conversion left a nonzero remainder")
-        coeffs.append(c)
-        k += 1
-    return BasisCoeffs(tuple(coeffs), "falling" if falling else "rising")
+        out.append(c)
+        q = quot[::-1]
+        point += 1 if falling else -1
+    return out
+
+
+def _to_basis(p: XPoly, basis: str) -> BasisCoeffs:
+    # clear the denominators once, peel in ints, divide once at the end
+    rows, den = _cleared(p.coeffs)
+    return BasisCoeffs(tuple(_lambda_polys(_basis_expand(rows, basis == "falling"), den)), basis)
 
 
 def to_falling_basis(p: XPoly) -> BasisCoeffs:
     """Expand p in the basis (x)_0, (x)_1, (x)_2, ... exactly."""
-    return _basis_expand(p, falling=True)
+    return _to_basis(p, "falling")
 
 
 def to_rising_basis(p: XPoly) -> BasisCoeffs:
     """Expand p in the basis <x>_0, <x>_1, <x>_2, ... exactly."""
-    return _basis_expand(p, falling=False)
+    return _to_basis(p, "rising")
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,9 @@ def test_bad_flags_print_one_error_line(capsys, argv):
     [
         "dobinski --n 2 --r 2 --s 1 --x 1/2 --lambda -1/2",
         "table stirling-rs --n 3 --r 2 --s 1 --eval-lambda -1/2",
+        # abbreviations that argparse accepts
+        "dobinski --n 2 --r 2 --s 1 --x 1/2 --lam -1/2",
+        "table stirling2 --n 2 --eval-lam -1/2",
     ],
 )
 def test_negative_fraction_after_a_space(capsys, argv):
@@ -168,6 +171,13 @@ def test_negative_fraction_after_a_space(capsys, argv):
     joined = run(capsys, argv.replace(" -1/2", "=-1/2").split())
     assert spaced == joined
     assert spaced[0] == 0 and '"-1/2"' in spaced[1]
+
+
+def test_abbreviated_option_gives_the_same_bytes(capsys):
+    argv = "dobinski --n 2 --r 2 --s 1 --x 1/2 --lambda 1/2"
+    full = run(capsys, argv.split())
+    assert full[0] == 0
+    assert run(capsys, argv.replace("--lambda", "--lam").split()) == full
 
 
 def test_negative_x_after_a_space_is_a_domain_error(capsys):

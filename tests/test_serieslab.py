@@ -1,8 +1,20 @@
 """Generating-function identities as truncated-series cross checks."""
 
-import pytest
+from math import factorial
 
-from degenstirling.algebra import LAMBDA, X, XPoly
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degenstirling import serieslab
+from degenstirling.algebra import (
+    LAMBDA,
+    TruncatedSeries,
+    X,
+    XPoly,
+    degenerate_exp_series,
+    series_exp,
+)
 from degenstirling.bell import bell_rs_poly
 from degenstirling.serieslab import (
     CheckReport,
@@ -12,6 +24,7 @@ from degenstirling.serieslab import (
     rr_egf_check,
     stirling_egf_check,
 )
+from degenstirling.stirling import _lambda_polys
 
 
 def test_stirling_egf_holds():
@@ -65,3 +78,51 @@ def test_report_is_falsy_on_mismatch():
     bad = CheckReport("demo", 4, False, Mismatch(2, 1, 0))
     assert not bad
     assert bad.first_mismatch.n == 2
+
+
+# the integer lab against the public Fraction tower, its oracle
+
+int_polys = st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=3)  # in (x, l)
+
+
+def int_series(order, polys=int_polys):
+    return st.lists(polys, min_size=order + 1, max_size=order + 1)
+
+
+def as_series(entries) -> TruncatedSeries:
+    """The series whose entries n! [t^n] are the lab's int polynomials."""
+    return TruncatedSeries(
+        len(entries) - 1,
+        [XPoly(_lambda_polys(e, factorial(n))) for n, e in enumerate(entries)],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_polys, st.integers(0, 8))
+def test_lab_degenerate_exp_matches_the_tower(base, order):
+    lab = serieslab._degenerate_exp(base, order)
+    assert as_series(lab) == degenerate_exp_series(XPoly(_lambda_polys(base)), order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lab_product_matches_the_tower(data):
+    order = data.draw(st.integers(0, 8))
+    a, b = data.draw(int_series(order)), data.draw(int_series(order))
+    assert as_series(serieslab._product(a, b)) == as_series(a) * as_series(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lab_exp_matches_the_tower(data):
+    order = data.draw(st.integers(0, 8))
+    small = st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2)
+    u = [[], *data.draw(int_series(order, small))[1:]]
+    assert as_series(serieslab._exp(u)) == series_exp(as_series(u))
+
+
+def test_lab_validates_the_order():
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        serieslab.r_bell_egf_check(1, -1)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        serieslab.rr_egf_check(1, 2.5)

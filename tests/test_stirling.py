@@ -82,6 +82,23 @@ def test_basis_round_trip(p):
     assert to_rising_basis(p).to_polynomial() == p
 
 
+fractional_lambda_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=3
+).map(LambdaPoly)
+fractional_x_polys = st.lists(fractional_lambda_polys, max_size=5).map(XPoly)
+
+
+@settings(max_examples=50)
+@given(fractional_x_polys)
+def test_basis_round_trip_clears_denominators(p):
+    # coefficients with l and unlike denominators: the peel runs on int
+    # lists over their common denominator
+    for expand in (to_falling_basis, to_rising_basis):
+        bc = expand(p)
+        assert len(bc.coefficients) == p.degree + 1
+        assert bc.to_polynomial() == p
+
+
 def test_basis_coeffs_of_zero():
     bc = to_falling_basis(XPoly.zero())
     assert bc == BasisCoeffs((), "falling")
