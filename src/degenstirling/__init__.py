@@ -5,13 +5,11 @@ cross checks."""
 from .algebra import (
     LAMBDA,
     LambdaPoly,
-    Rational,
     TruncatedSeries,
     X,
     XPoly,
     as_rational,
     degenerate_exp_series,
-    divmod_linear,
     falling_scalar,
     gen_falling,
     rational_str,

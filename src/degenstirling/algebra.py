@@ -9,16 +9,25 @@ The two polynomial rungs are one class, ``Poly``: ``LambdaPoly`` and
 operand of a lower rung is lifted to the higher one.
 Every object is immutable and every operation is exact; no floating
 point enters this module or anything built on it.
+
+The last section is the int (x, l) list format that stirling's basis
+peel, serieslab's series and bell's recurrence run on instead: an int
+polynomial in x and l is a list over the degree in x of int lists in l
+([[1], [0, -2]] is 1 - 2 l x), and a series in t is the list of its
+entries n! [t^n].  _cleared and _lambda_polys cross between the tower
+and the format over one common denominator, _convolve is entry n of a
+product of series, and _degenerate_exp gives the entries (b)_{n,l}.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from itertools import zip_longest
+from math import comb, factorial, lcm
 
 __all__ = [
-    "Rational",
     "Poly",
     "LambdaPoly",
     "XPoly",
@@ -30,14 +39,9 @@ __all__ = [
     "falling_scalar",
     "rising_scalar",
     "gen_falling",
-    "divmod_linear",
     "series_exp",
     "degenerate_exp_series",
 ]
-
-# Exact rational scalar: gcd-reduced, positive denominator, arbitrary
-# precision.  The stdlib type already maintains exactly those invariants.
-Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
@@ -308,25 +312,6 @@ class XPoly(Poly):
 X = XPoly((0, 1))
 
 
-def divmod_linear(p: XPoly, root) -> tuple[XPoly, LambdaPoly]:
-    """Synthetic division of p by the monic linear factor (x - root).
-
-    Returns (quotient, remainder); exact, so the remainder is the value
-    p(root).
-    """
-    root = as_rational(root)
-    cs = p.coeffs
-    if not cs:
-        return XPoly.zero(), LambdaPoly.zero()
-    n = len(cs) - 1
-    quot = [LambdaPoly.zero()] * n
-    acc = cs[n]
-    for i in range(n - 1, -1, -1):
-        quot[i] = acc
-        acc = cs[i] + acc * root
-    return XPoly(quot), acc
-
-
 def gen_falling(base, n: int):
     """Falling factorial with step l: base(base - l)...(base - (n-1)l).
 
@@ -486,3 +471,50 @@ def degenerate_exp_series(xcoef, order: int) -> TruncatedSeries:
             prod = prod * (base - (k - 1) * lam)
         coeffs.append(prod / factorial(k))
     return TruncatedSeries(order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# int polynomials in (x, l), and series of their entries n! [t^n]
+
+def _cleared(polys) -> tuple:
+    """LambdaPolys as int lists of one length, and their common denominator."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    width = max((len(p.coeffs) for p in polys), default=0)
+    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    return [row + [0] * (width - len(row)) for row in rows], den
+
+
+def _lambda_polys(rows, den: int = 1) -> list:
+    """Int lists in l, divided by den, as LambdaPolys."""
+    return [LambdaPoly(row if den == 1 else [Fraction(v, den) for v in row]) for row in rows]
+
+
+def _add(p: list, q: list) -> list:
+    return [[u + v for u, v in zip_longest(a, b, fillvalue=0)]
+            for a, b in zip_longest(p, q, fillvalue=())]
+
+
+def _mul(p: list, q: list, scale: int = 1) -> list:
+    width = max(map(len, p), default=0) + max(map(len, q), default=0) - 1
+    out = [[0] * width for _ in range(len(p) + len(q) - 1)]
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            row = out[i + j]
+            for s, u in enumerate(a):
+                for t, v in enumerate(b):
+                    row[s + t] += scale * u * v
+    return out
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """sum_k C(n, k) a_k b_{n-k}: entry n of the product of two series."""
+    return reduce(_add, (_mul(a[k], b[n - k], comb(n, k)) for k in range(n + 1)))
+
+
+def _degenerate_exp(base: list, order: int) -> list:
+    """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} (b - (n-1) l)."""
+    _require(isinstance(order, int) and order >= 0, "order must be a nonnegative integer")
+    out = [[[1]]]
+    for n in range(1, order + 1):
+        out.append(_mul(out[-1], _add(base, [[0, 1 - n]])))
+    return out

@@ -21,19 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 
 from .algebra import (
-    LAMBDA,
-    LambdaPoly,
-    X,
     XPoly,
+    _add,
+    _cleared,
+    _convolve,
+    _degenerate_exp,
+    _lambda_polys,
+    _mul,
     _require,
     _require_at_least,
     _require_rs,
     as_rational,
     falling_scalar,
-    gen_falling,
 )
 from .stirling import family_row
 
@@ -67,20 +68,22 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
     """Two independent convolution forms for the next shifted Bell
     polynomial; both must equal r_bell_poly(n+1, r).
 
-    form_a = sum_k C(n,k) (-l)^(n-k) (n-k)! (x phi_k^(r+1) + r phi_k^(r))
+    form_a = sum_k C(n,k) (-l)_{n-k,l} (x phi_k^(r+1) + r phi_k^(r))
     form_b = sum_k C(n,k) (r (-l)_{k,l} + x (1-l)_{k,l}) phi_{n-k}^(r)
+
+    with (-l)_{j,l} = j! (-l)^j.  Both are binomial convolutions of series
+    entries, built in algebra's int (x, l) lists like serieslab's products.
     """
     _require_at_least("n", n, 0)
     _require_at_least("r", r, 0)
-    form_a = XPoly.zero()
-    form_b = XPoly.zero()
-    for k in range(n + 1):
-        c = comb(n, k)
-        wa = (c * factorial(n - k)) * ((-LAMBDA) ** (n - k))
-        form_a = form_a + wa * (X * r_bell_poly(k, r + 1) + r * r_bell_poly(k, r))
-        wb = r * gen_falling(-LAMBDA, k) + X * gen_falling(LambdaPoly.one() - LAMBDA, k)
-        form_b = form_b + c * (wb * r_bell_poly(n - k, r))
-    return form_a, form_b
+    # the shifted Bell rows have int coefficients, so the cleared
+    # denominator is 1; [[], *p] is x p
+    phi, phi_next = ([_cleared(r_bell_poly(k, s).coeffs)[0] for k in range(n + 1)]
+                     for s in (r, r + 1))
+    neg, one_minus = _degenerate_exp([[0, -1]], n), _degenerate_exp([[1, -1]], n)
+    form_a = _convolve(neg, [_add([[], *q], _mul(p, [[r]])) for p, q in zip(phi, phi_next)], n)
+    form_b = _convolve([_add(_mul(a, [[r]]), [[], *b]) for a, b in zip(neg, one_minus)], phi, n)
+    return XPoly(_lambda_polys(form_a)), XPoly(_lambda_polys(form_b))
 
 
 @dataclass(frozen=True)

@@ -4,29 +4,30 @@ Each check builds the left-hand side with series arithmetic only, builds
 the right-hand side from the closed-form rows, and compares coefficient by
 coefficient up to the requested order.  The two sides never share a
 formula, so each check is an independent oracle for the other route.
-A series is held as its entries n! [t^n], each an int polynomial in (x, l):
-a list over the degree in x of int lists in l.  Nothing is divided until a
-row is compared.  The Fraction tower (TruncatedSeries, series_exp,
-degenerate_exp_series) builds the same series and is the tests' oracle.
+A series is held as its entries n! [t^n] in algebra's int (x, l) list
+format, whose _convolve and _degenerate_exp build the products and the
+degenerate exponentials.  Nothing is divided until a row is compared.
+The Fraction tower (TruncatedSeries, series_exp, degenerate_exp_series)
+builds the same series and is the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from itertools import zip_longest
-from math import comb, factorial
+from math import factorial
 from typing import Optional
 
-from .algebra import XPoly, _require, _require_at_least
-from .bell import bell_rs_poly, r_bell_poly
-from .stirling import (
-    _basis_expand,
+from .algebra import (
+    XPoly,
     _cleared,
+    _convolve,
+    _degenerate_exp,
     _lambda_polys,
-    falling_basis_poly,
-    stirling2_degenerate,
+    _require,
+    _require_at_least,
 )
+from .bell import bell_rs_poly, r_bell_poly
+from .stirling import _basis_expand, falling_basis_poly, stirling2_degenerate
 
 __all__ = [
     "Mismatch",
@@ -64,29 +65,7 @@ def _report(identity: str, order: int, pairs) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# int polynomials in (x, l), and series of their entries n! [t^n]
-
-def _add(p: list, q: list) -> list:
-    return [[u + v for u, v in zip_longest(a, b, fillvalue=0)]
-            for a, b in zip_longest(p, q, fillvalue=())]
-
-
-def _mul(p: list, q: list, scale: int = 1) -> list:
-    width = max(map(len, p), default=0) + max(map(len, q), default=0) - 1
-    out = [[0] * width for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            row = out[i + j]
-            for s, u in enumerate(a):
-                for t, v in enumerate(b):
-                    row[s + t] += scale * u * v
-    return out
-
-
-def _convolve(a: list, b: list, n: int) -> list:
-    """sum_k C(n, k) a_k b_{n-k}: entry n of the product of two series."""
-    return reduce(_add, (_mul(a[k], b[n - k], comb(n, k)) for k in range(n + 1)))
-
+# series of int (x, l) entries n! [t^n]
 
 def _product(a: list, b: list) -> list:
     return [_convolve(a, b, n) for n in range(len(a))]
@@ -98,15 +77,6 @@ def _exp(u: list) -> list:
     for n in range(len(u) - 1):
         y.append(_convolve(u[1:], y, n))
     return y
-
-
-def _degenerate_exp(base: list, order: int) -> list:
-    """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} (b - (n-1) l)."""
-    _require(isinstance(order, int) and order >= 0, "order must be a nonnegative integer")
-    out = [[[1]]]
-    for n in range(1, order + 1):
-        out.append(_mul(out[-1], _add(base, [[0, 1 - n]])))
-    return out
 
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:

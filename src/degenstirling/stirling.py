@@ -11,8 +11,9 @@ its basis.  family_row absorbs the factors one linear piece at a time into
 a row of int lists in l, without building the polynomial.
 Family.polynomial multiplies the same list out in x, and the basis
 converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
-synthetic division in int lists, over the common denominator cleared once:
-the kernel's second route, which the tests and serieslab's rr-egf use.
+synthetic division in algebra's int (x, l) list format, over the common
+denominator cleared once: the kernel's second route, which the tests and
+serieslab's rr-egf use.
 stirling_rs_degenerate is the finite-difference route: the paper's
 alternating sum, which takes the k-th Newton difference at 0 of the
 defining product evaluated at x = 0, 1, ..., k, summed in int lists in l.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Callable
 
 from .algebra import (
@@ -35,6 +36,8 @@ from .algebra import (
     LambdaPoly,
     X,
     XPoly,
+    _cleared,
+    _lambda_polys,
     _require_at_least,
     _require_rs,
     falling_scalar,
@@ -116,39 +119,19 @@ class BasisCoeffs:
         return XPoly(_lambda_polys(acc, den))
 
 
-def _cleared(polys) -> tuple:
-    """LambdaPolys as int lists of one length, and their common denominator."""
-    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    width = max((len(p.coeffs) for p in polys), default=0)
-    rows = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
-    return [row + [0] * (width - len(row)) for row in rows], den
-
-
-def _lambda_polys(rows, den: int = 1) -> list:
-    """Int lists in l, divided by den, as LambdaPolys."""
-    return [LambdaPoly(row if den == 1 else [Fraction(v, den) for v in row]) for row in rows]
-
-
 def _basis_expand(q: list, falling: bool) -> list:
     """An int polynomial in (x, l), a list over the degree in x of int lists
     in l all of one length, over the falling (or rising) basis, in ints:
-    each round takes c_k = q(k) (or q(-k)) and divides q - c_k by x - k (or
-    x + k) synthetically; the remainder must vanish."""
-    width = len(q[0]) if q else 0
+    each round divides q by x - k (or x + k) synthetically; the remainder
+    q(k) (or q(-k)) is the coefficient c_k, and the quotient is peeled next."""
     out = []
     point = 0
     while q:
-        c = [0] * width
-        for a in reversed(q):
-            c = [point * u + v for u, v in zip(c, a)]
-        q = [[u - v for u, v in zip(q[0], c)], *q[1:]]
         acc, quot = q[-1], []
         for a in reversed(q[:-1]):
             quot.append(acc)
             acc = [u + point * v for u, v in zip(a, acc)]
-        if any(acc):
-            raise ArithmeticError("basis conversion left a nonzero remainder")
-        out.append(c)
+        out.append(acc)
         q = quot[::-1]
         point += 1 if falling else -1
     return out

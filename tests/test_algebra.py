@@ -15,7 +15,6 @@ from degenstirling.algebra import (
     X,
     XPoly,
     degenerate_exp_series,
-    divmod_linear,
     falling_scalar,
     gen_falling,
     rational_str,
@@ -106,13 +105,6 @@ def test_xpoly_evaluation_substitutes_outer_variable_first():
     p = (X - LAMBDA) * X
     assert p(3) == 9 - 3 * LAMBDA
     assert p(3)(Fraction(1, 2)) == Fraction(15, 2)
-
-
-def test_divmod_linear_is_exact():
-    p = (X - 2) * (X + LAMBDA) + 7
-    q, rem = divmod_linear(p, 2)
-    assert rem == p(2)
-    assert q * (X - 2) + XPoly.constant(rem) == p
 
 
 @settings(max_examples=60)

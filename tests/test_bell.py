@@ -69,8 +69,8 @@ def test_classical_bell_numbers_at_lambda_zero():
 
 
 def test_recurrence_forms_match_direct_row():
-    for r in range(4):
-        for n in range(6):
+    for r in range(5):
+        for n in range(9):
             form_a, form_b = r_bell_recurrence(n, r)
             direct = r_bell_poly(n + 1, r)
             assert form_a == direct

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling import bell, cli, stirling
-from degenstirling.algebra import rational_str
+from degenstirling.algebra import X, rational_str
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -350,6 +350,34 @@ def test_verify_fails_loudly(capsys, monkeypatch):
     assert code == 1
     doc = json.loads(out)
     assert doc["pass"] is False
+
+
+def test_verify_recurrence_fails_where_a_wrong_row_is_used(capsys, monkeypatch):
+    # x^2 added to the row (n, r) = (3, 1) must fail the check whose target
+    # it is and every check whose convolution forms read it
+    real = bell.r_bell_poly
+
+    def bumped(n, r):
+        row = real(n, r)
+        return row + X * X if (n, r) == (3, 1) else row
+
+    monkeypatch.setattr(bell, "r_bell_poly", bumped)
+    code, out, err = run(capsys, ["verify", "--suite", "recurrence"])
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert len(doc["checks"]) == 20
+    failed = [c["identity"] for c in doc["checks"] if not c["pass"]]
+    assert sorted(failed) == [
+        f"shifted-bell-recurrence[n={n},r={r}]"
+        for n, r in ((2, 1), (3, 0), (3, 1), (4, 0), (4, 1))
+    ]
+
+
+def test_verify_negative_order_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "egf", "--order", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: order must be a nonnegative integer\n"
 
 
 def test_verify_reports_a_closed_form_that_fails_to_vanish(capsys, monkeypatch):
