@@ -15,8 +15,9 @@ peel, serieslab's series and bell's recurrence run on instead: an int
 polynomial in x and l is a list over the degree in x of int lists in l
 ([[1], [0, -2]] is 1 - 2 l x), and a series in t is the list of its
 entries n! [t^n].  _cleared and _lambda_polys cross between the tower
-and the format over one common denominator, _convolve is entry n of a
-product of series, and _degenerate_exp gives the entries (b)_{n,l}.
+and the format over one common denominator, _evaluate reads cleared rows
+at a rational point, _convolve is entry n of a product of series, and
+_degenerate_exp gives the entries (b)_{n,l}.
 """
 
 from __future__ import annotations
@@ -487,6 +488,22 @@ def _cleared(polys) -> tuple:
 def _lambda_polys(rows, den: int = 1) -> list:
     """Int lists in l, divided by den, as LambdaPolys."""
     return [LambdaPoly(row if den == 1 else [Fraction(v, den) for v in row]) for row in rows]
+
+
+def _evaluate(rows: list, den: int, x: Fraction, lam: Fraction) -> Fraction:
+    """Cleared rows over den at (x, l) = (p/q, u/v), by homogeneous Horner:
+    one int numerator sum c_ij p^i q^(D-i) u^j v^(E-j) over den q^D v^E,
+    reduced once."""
+    def horner(coeffs, point):
+        acc, scale = 0, 1
+        for c in reversed(coeffs):
+            acc, scale = acc * point.numerator + c * scale, scale * point.denominator
+        return acc
+
+    width = len(rows[0]) if rows else 0
+    num = horner([horner(row, lam) for row in rows], x)
+    return Fraction(num, den * x.denominator ** max(len(rows) - 1, 0)
+                    * lam.denominator ** max(width - 1, 0))
 
 
 def _add(p: list, q: list) -> list:

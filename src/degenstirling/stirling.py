@@ -9,11 +9,11 @@ coefficients in l.  The central one is the (r, s) row
 FAMILIES registers each family as its factor list of (c, depth, d) and
 its basis.  family_row absorbs the factors one linear piece at a time into
 a row of int lists in l, without building the polynomial.
-Family.polynomial multiplies the same list out in x, and the basis
-converter _basis_expand (to_falling_basis, to_rising_basis) peels it by
-synthetic division in algebra's int (x, l) list format, over the common
-denominator cleared once: the kernel's second route, which the tests and
-serieslab's rr-egf use.
+Family.polynomial multiplies the same list out in algebra's int (x, l)
+list format, and the basis converter _basis_expand (to_falling_basis,
+to_rising_basis) peels it by synthetic division in that format, over the
+common denominator cleared once: the kernel's second route, which the
+tests and serieslab's rr-egf use.
 stirling_rs_degenerate is the finite-difference route: the paper's
 alternating sum, which takes the k-th Newton difference at 0 of the
 defining product evaluated at x = 0, 1, ..., k, summed in int lists in l.
@@ -26,18 +26,18 @@ values are only ever obtained by evaluating at l = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Callable
 
 from .algebra import (
-    LAMBDA,
     LambdaPoly,
     X,
     XPoly,
+    _add,
     _cleared,
     _lambda_polys,
+    _mul,
     _require_at_least,
     _require_rs,
     falling_scalar,
@@ -198,14 +198,15 @@ class Family:
     check: Callable[..., None] = lambda *params: None
 
     def polynomial(self, n: int, *params) -> XPoly:
-        """The generating polynomial: the factor list multiplied out in x."""
-        p = XPoly.one()
+        """The generating polynomial: the factor list multiplied out in x,
+        on int (x, l) lists, as an XPoly built once at the end."""
+        p = [[1]]
         for c, depth, d in self.factors(n, *params):
-            piece = XPoly.one()
-            for i in range(depth):
-                piece = piece * (X + (c - i))
-            p = p * (piece - d * LAMBDA)
-        return p
+            piece = [[1]]
+            for a in range(c, c - depth, -1):
+                piece = _mul(piece, [[a], [1]])
+            p = _mul(p, _add(piece, [[0, -d]]))
+        return XPoly(_lambda_polys(p))
 
 
 FAMILIES = {
@@ -283,7 +284,7 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
         total = [t + weight * c for t, c in zip(total, prod)]
     if k > n * s and any(total):
         raise ArithmeticError("alternating sum failed to vanish beyond n*s")
-    return LambdaPoly([Fraction(c, factorial(k)) for c in total])
+    return _lambda_polys([total], factorial(k))[0]
 
 
 def stirling_rr_degenerate(n: int, k: int, r: int) -> LambdaPoly:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstirling.algebra import (
@@ -14,6 +14,8 @@ from degenstirling.algebra import (
     TruncatedSeries,
     X,
     XPoly,
+    _cleared,
+    _evaluate,
     degenerate_exp_series,
     falling_scalar,
     gen_falling,
@@ -123,6 +125,28 @@ def test_xpoly_ring_axioms(a, b, c):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+points = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.lists(points, max_size=4).map(LambdaPoly), max_size=4).map(XPoly),
+    points,
+    points,
+)
+@example(XPoly(), Fraction(-3, 7), Fraction(5, 9))  # the zero polynomial
+@example(XPoly([Fraction(2, 9), 0, Fraction(-7, 4)]), Fraction(-5, 6), Fraction(1, 3))  # width 1
+@example(XPoly([Fraction(1, 3)]), 0, 0)
+@example(X * X + LAMBDA * X, Fraction(-1, 2), 0)
+@example(XPoly([LambdaPoly([0, 0, Fraction(5, 8)])]), 0, Fraction(-7, 9))
+def test_evaluate_on_cleared_rows_matches_the_tower(p, xv, lam):
+    # integer homogeneous Horner against Poly.__call__ in Fraction arithmetic
+    rows, den = _cleared(p.coeffs)
+    value = _evaluate(rows, den, Fraction(xv), Fraction(lam))
+    assert type(value) is Fraction
+    assert value == p(xv)(lam)
 
 
 def test_scalar_helpers():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstirling import bell, cli, stirling
+from degenstirling import bell, cli, stirling, weyl
 from degenstirling.algebra import X, rational_str
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -313,6 +313,56 @@ def test_release_gate_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fd2a83357840f180d42e479a9a81da2daab5982fd983ac90715b6273ceda7f77"
     )
+
+
+def test_larger_verify_grid_is_pinned(capsys):
+    # rows up to n = 6, r = 4 through every suite, the dobinski reference
+    # values among them
+    code, out, err = run(capsys, ["verify", "--max-n", "6", "--max-r", "4", "--max-s", "4"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ade7a4e30fe0dcf9c0ea1134640cd8d106b7b3ed7466fc21090e639d8663c0b1"
+    )
+
+
+def _failed_dobinski_checks(capsys) -> list:
+    code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "dobinski"])
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert len(doc["checks"]) == 60
+    return sorted(c["identity"] for c in doc["checks"] if not c["pass"])
+
+
+def test_verify_dobinski_fails_where_a_wrong_bell_row_is_used(capsys, monkeypatch):
+    # x^2 added to the (2, 2, 1) Bell polynomial must fail the series check
+    # and the gamma check whose exact value it is, and nothing else
+    real = bell.bell_rs_poly
+
+    def bumped(n, r, s):
+        row = real(n, r, s)
+        return row + X * X if (n, r, s) == (2, 2, 1) else row
+
+    monkeypatch.setattr(bell, "bell_rs_poly", bumped)
+    assert _failed_dobinski_checks(capsys) == [
+        "dobinski-series[n=2,r=2,s=1]",
+        "gamma-ratio-series[n=2,r=2,s=1]",
+    ]
+
+
+def test_verify_dobinski_fails_where_a_wrong_weyl_row_is_used(capsys, monkeypatch):
+    # +1 on entry k = 2 of the Weyl row for (n, r) = (2, 3) must fail the
+    # balanced series check that compares with it, and nothing else
+    real = weyl.extract_stirling
+
+    def bumped(nf, n, r, s):
+        row = list(real(nf, n, r, s))
+        if (n, r, s) == (2, 3, 3):
+            row[2] = row[2] + 1
+        return row
+
+    monkeypatch.setattr(weyl, "extract_stirling", bumped)
+    assert _failed_dobinski_checks(capsys) == ["dobinski-balanced[k=2,r=3]"]
 
 
 def test_verify_with_no_checks_is_a_usage_error(capsys):

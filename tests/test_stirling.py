@@ -147,6 +147,26 @@ def test_family_rows_equal_their_polynomial_over_the_basis():
         )
 
 
+def _multiplied_out_in_xpoly(family, n, *params) -> XPoly:
+    """The factor list multiplied out in the Fraction tower."""
+    p = XPoly.one()
+    for c, depth, d in family.factors(n, *params):
+        piece = XPoly.one()
+        for i in range(depth):
+            piece = piece * (X + (c - i))
+        p = p * (piece - d * LAMBDA)
+    return p
+
+
+def test_family_polynomial_matches_the_xpoly_product():
+    # Family.polynomial multiplies on int lists; the tower does it in Fractions
+    for name, n, *params in _registry_shapes(10, 4):
+        family = stirling.FAMILIES[name]
+        assert family.polynomial(n, *params) == _multiplied_out_in_xpoly(family, n, *params), (
+            name, n, params,
+        )
+
+
 def test_stirling2_rows_follow_the_carlitz_recurrence():
     # S(n+1, k) = S(n, k-1) + (k - n l) S(n, k), with full l
     for n in range(13):
