@@ -11,9 +11,10 @@ the infinite sum.  The bound comes from a per-term ratio majorant that is
 provably decreasing, so once it drops below 1/2 the tail is geometric.
 
 Each series is summed in integers over one running denominator (scale *
-q^k * k!, with x = p/q) and reduced to a Fraction once at the end, so no
-per-term gcd is taken; the value and the certified tail_bound are the same
-rationals a term-by-term Fraction sum gives.  The balanced series
+q^k * k!, with x = p/q), and so is the exp(-x) factor; the two are combined
+and the error budget checked by int cross-multiplication, so the only
+reductions are the two that build the value and the tail_bound.  These are
+the same rationals a term-by-term Fraction sum gives.  The balanced series
 dobinski_rr is the s = r case of dobinski_eval, not a second copy of it.
 """
 
@@ -100,19 +101,19 @@ class DobinskiResult:
 
 
 def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
-                budget: Fraction) -> tuple[Fraction, Fraction, int]:
+                bn: int, bd: int) -> tuple[int, int, int, int]:
     """Sum t_k = coeff(k) p^k / (scale q^k k!) from k = 0 upward, in
     integers over one running denominator.
 
     num/den is the partial sum with den = scale q^k k!: each step scales both
     by q k and adds a_k = coeff(k) p^k, so t_k = a_k/den and nothing is
-    reduced until the end.  The caller guarantees |t_{k+1}/t_k| <= 1/2 for
-    every k >= k0.  Once k >= k0 and the current term is within budget, the
+    reduced.  The caller guarantees |t_{k+1}/t_k| <= 1/2 for every k >= k0.
+    Once k >= k0 and the current term is within the budget bn/bd, the
     remaining tail is dominated by the geometric series and hence by
-    |t_k| <= budget.
-    Returns (partial_sum, tail_bound, terms_used).
+    |t_k| <= bn/bd.
+    Returns (num, |a_k|, den, terms_used): the partial sum is num/den and its
+    tail bound |a_k|/den.
     """
-    bn, bd = budget.numerator, budget.denominator
     num, den, pk = 0, scale, 1
     k = 0
     while True:
@@ -122,19 +123,9 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
         a = coeff(k) * pk
         num += a
         if k >= k0 and abs(a) * bd <= bn * den:
-            return Fraction(num, den), Fraction(abs(a), den), k + 1
+            return num, abs(a), den, k + 1
         pk *= p
         k += 1
-
-
-def _exp_neg_partial(x: Fraction, budget: Fraction) -> tuple[Fraction, Fraction]:
-    """Partial sum W of exp(-x) for x > 0 with |exp(-x) - W| <= returned
-    bound <= min(budget, 1/2)."""
-    # from m0 = max(0, ceil(2x) - 1) on the term ratio x/(m+1) is <= 1/2
-    m0 = max(0, -(-2 * x.numerator // x.denominator) - 1)
-    w, tail, _ = _sum_series(lambda m: 1, -x.numerator, x.denominator, 1, m0,
-                             min(budget, Fraction(1, 2)))
-    return w, tail
 
 
 def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction) -> int:
@@ -166,16 +157,33 @@ def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction)
         k += 1
 
 
-def _combine_with_exp(series_sum: Fraction, tail_s: Fraction, used: int,
+def _combine_with_exp(num: int, tail: int, den: int, used: int,
                       x: Fraction, tol: Fraction) -> DobinskiResult:
-    """Multiply a certified partial sum by a certified exp(-x) partial sum
-    and propagate both tails into one rigorous bound."""
-    e_budget = min(tol / 6, (tol / 4) / (abs(series_sum) + tail_s + 1))
-    w, tail_e = _exp_neg_partial(x, e_budget)
-    err = abs(w) * tail_s + tail_e * (abs(series_sum) + tail_s)
-    if err > tol:
+    """Multiply a certified partial sum S = num/den, with tail bound
+    T = tail/den, by a certified partial sum W of exp(-x), x > 0, and
+    propagate both tails into one rigorous bound.
+
+    W is summed within min(tol/6, (tol/4)/(|S|+T+1), 1/2), and the error
+    |W| T + tail_W (|S| + T) is checked against tol; all of it is int
+    cross-multiplication, and only the value and the bound become Fractions.
+    """
+    tn, td = tol.numerator, tol.denominator
+    size = abs(num) + tail  # (|S| + T) den
+    # tol/6 <= (tol/4)/(|S|+T+1) exactly when |S| + T <= 1/2
+    if 2 * size <= den:
+        bn, bd = tn, 6 * td
+    else:
+        bn, bd = tn * den, 4 * td * (size + den)
+    if 2 * bn > bd:
+        bn, bd = 1, 2
+    p, q = x.numerator, x.denominator
+    # from m0 = max(0, ceil(2x) - 1) on the term ratio x/(m+1) is <= 1/2
+    m0 = max(0, -(-2 * p // q) - 1)
+    wn, tail_w, wden, _ = _sum_series(lambda m: 1, -p, q, 1, m0, bn, bd)
+    err, out_den = abs(wn) * tail + tail_w * size, wden * den
+    if err * td > tn * out_den:
         raise ArithmeticError("internal tail budgeting failed")
-    return DobinskiResult(w * series_sum, used, err)
+    return DobinskiResult(Fraction(wn * num, out_den), used, Fraction(err, out_den))
 
 
 def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
@@ -208,9 +216,9 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
         return out
 
     k0 = _factored_start(x, n, s, n * abs(lam))
-    series_sum, tail_s, used = _sum_series(coeff, x.numerator, x.denominator, v ** n,
-                                           k0, tol / 6)
-    return _combine_with_exp(series_sum, tail_s, used, x, tol)
+    series = _sum_series(coeff, x.numerator, x.denominator, v ** n, k0,
+                         tol.numerator, 6 * tol.denominator)
+    return _combine_with_exp(*series, x, tol)
 
 
 def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
@@ -256,5 +264,5 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     k0 = s
     while 2 * (k0 - s + 2) ** (s * n) > (k0 + 1) * (k0 - s + 1) ** (s * n):
         k0 += 1
-    series_sum, tail_s, used = _sum_series(coeff, 1, 1, 1, k0, tol / 6)
-    return _combine_with_exp(series_sum, tail_s, used, Fraction(1), tol)
+    series = _sum_series(coeff, 1, 1, 1, k0, tol.numerator, 6 * tol.denominator)
+    return _combine_with_exp(*series, Fraction(1), tol)

@@ -13,7 +13,9 @@ normal forms and serves as the reference the specialised engine is tested
 against.  degenerate_product uses the same reordering formula, but its
 product lives on one diagonal (i - j fixed by the number of factors) and
 has integer coefficients in l, so it absorbs one factor at a time into a
-row indexed by the annihilation power, in plain int arithmetic.
+row indexed by the annihilation power.  Each entry of that row is packed
+into one int at l = 2^b, with b sized by a first pass at l = -1 (the
+l = -1 majorant) and each entry decoded into exactly n signed b-bit digits.
 
 The row extract_stirling reads off degenerate_product is the (r, s)
 Stirling row by normal ordering.  It is one of the three routes that
@@ -24,7 +26,7 @@ it shares no code with either.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .algebra import LambdaPoly, _require, _require_rs
 
@@ -149,41 +151,60 @@ class NormalForm:
         return f"NormalForm({{{body}}})"
 
 
-def _absorb(src: list, weight: int, dst: list, shift: int):
-    """dst += weight * l^shift * src, for coefficient lists ascending in l."""
-    for d, c in enumerate(src, shift):
-        dst[d] += weight * c
-
-
 def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     """Normal form of the product over k = 0..n-1 of
     ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost.
 
     After m factors every term is (a+)^(m(r-s)+j) a^j, so the running
-    product is a row indexed by j whose entries are int coefficient lists
-    in l.  Multiplying on the right by factor k reorders a^j past the
-    creation powers with weights t! C(j, t) C(., t): the (a+)^r a^s term
-    sends j to j - t + s, and the -k l (a+)^(r-s) term sends j to j - t,
-    one power of l up and scaled by -k."""
+    product is a row indexed by j whose entries are int polynomials in l.
+    Multiplying on the right by factor k reorders a^j past the creation
+    powers with weights t! C(j, t) C(., t): the (a+)^r a^s term sends j to
+    j - t + s, and the -k l (a+)^(r-s) term sends j to j - t, scaled by -k l.
+
+    Each entry is carried as one int, its polynomial evaluated at l = 2^b
+    (Kronecker substitution), so an absorption is one big-int multiply-add
+    rather than a loop over l-coefficients, and the factor l is a shift by
+    b bits.  The weight tables are built once per call.  A first pass at
+    l = -1 makes every weight nonnegative, so each of its entries bounds the
+    sum of the absolute l-coefficients of the true entry; b is one bit more
+    than the largest.  Every coefficient then fits a signed b-bit digit, and
+    each entry is read back as exactly n digits (the l-degree is at most
+    n - 1); anything left over raises ArithmeticError."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
     _require_rs(r, s)
-    row = [[1]]
-    for k in range(n):
-        # factor k raises the l-degree to at most k
-        new = [[0] * (k + 1) for _ in range(len(row) + s)]
-        for j, coeffs in enumerate(row):
-            for t in range(min(j, r) + 1):
-                w = factorial(t) * comb(j, t) * comb(r, t)
-                _absorb(coeffs, w, new[j - t + s], 0)
-            if k:
-                for t in range(min(j, r - s) + 1):
-                    w = factorial(t) * comb(j, t) * comb(r - s, t)
-                    _absorb(coeffs, -k * w, new[j - t], 1)
-        row = new
+    up, down = ([[perm(j, t) * comb(c, t) for t in range(min(j, c) + 1)]
+                 for j in range(n * s + 1)] for c in (r, r - s))
+
+    def run(sign: int, b: int) -> list:
+        # the row at l = sign * 2^b; -k l v is a shift, not a multiply
+        row = [1]
+        for k in range(n):
+            new = [0] * (len(row) + s)
+            for j, v in enumerate(row):
+                for t, w in enumerate(up[j]):
+                    new[j - t + s] += w * v
+                if k:
+                    v = (-sign * k * v) << b
+                    for t, w in enumerate(down[j]):
+                        new[j - t] += w * v
+            row = new
+        return row
+
+    b = max(run(-1, 0)).bit_length() + 1
+    half, mask = 1 << (b - 1), (1 << b) - 1
     shift = n * (r - s)
-    return NormalForm(
-        {(shift + j, j): LambdaPoly(coeffs) for j, coeffs in enumerate(row) if any(coeffs)}
-    )
+    terms = {}
+    for j, v in enumerate(run(1, b)):
+        coeffs = []
+        for _ in range(n):
+            d = ((v + half) & mask) - half
+            coeffs.append(d)
+            v = (v - d) >> b
+        if v:
+            raise ArithmeticError(f"entry {j} of the packed row overflows {b}-bit digits")
+        if any(coeffs):
+            terms[(shift + j, j)] = LambdaPoly(coeffs)
+    return NormalForm(terms)
 
 
 def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:

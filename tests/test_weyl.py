@@ -1,6 +1,7 @@
 """Normal ordering engine checked against a single-swap rewriting oracle."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,48 @@ def test_degenerate_product_matches_general_product():
                 nf = degenerate_product(n, r, s)
                 assert nf == expected, (n, r, s)
                 assert all(not c.is_zero() for c in nf.terms.values())
+
+
+def _list_engine(n, r, s):
+    """The diagonal engine with each row entry held as an int coefficient
+    list in l: every (j, t) absorption loops over the l-coefficients, and
+    the weights are recomputed for every factor."""
+    row = [[1]]
+    for k in range(n):
+        new = [[0] * (k + 1) for _ in range(len(row) + s)]
+        for j, coeffs in enumerate(row):
+            for t in range(min(j, r) + 1):
+                w = factorial(t) * comb(j, t) * comb(r, t)
+                for d, c in enumerate(coeffs):
+                    new[j - t + s][d] += w * c
+            if k:
+                for t in range(min(j, r - s) + 1):
+                    w = factorial(t) * comb(j, t) * comb(r - s, t)
+                    for d, c in enumerate(coeffs, 1):
+                        new[j - t][d] -= k * w * c
+        row = new
+    shift = n * (r - s)
+    return NormalForm(
+        {(shift + j, j): LambdaPoly(coeffs) for j, coeffs in enumerate(row) if any(coeffs)}
+    )
+
+
+# the 32 shapes of the normal-order benchmark workload, then three with
+# wider l-coefficients than any of them
+_LIST_ENGINE_SHAPES = (
+    (1, 3, 1), (1, 5, 1), (2, 2, 2), (2, 4, 2), (3, 1, 1), (3, 3, 3), (3, 5, 5), (5, 2, 1),
+    (4, 4, 3), (5, 3, 2), (5, 5, 2), (7, 2, 2), (5, 5, 4), (7, 3, 3), (9, 2, 2), (8, 3, 2),
+    (10, 2, 2), (7, 5, 3), (8, 4, 4), (15, 2, 1), (8, 5, 5), (10, 4, 2), (9, 4, 4), (17, 2, 2),
+    (11, 4, 2), (16, 5, 1), (10, 5, 3), (15, 3, 2), (20, 4, 1), (19, 2, 2), (16, 3, 2), (20, 5, 1),
+    (30, 5, 5), (40, 4, 3), (60, 2, 1),
+)
+
+
+@pytest.mark.parametrize("n, r, s", _LIST_ENGINE_SHAPES)
+def test_packed_engine_matches_the_list_engine(n, r, s):
+    # the packed row against the coefficient-list row it replaced, at
+    # sizes the NormalForm fold above does not reach
+    assert degenerate_product(n, r, s) == _list_engine(n, r, s)
 
 
 def test_degenerate_product_validates_arguments():
