@@ -1,9 +1,10 @@
 """Exact arithmetic tower used by everything else.
 
 From the bottom up: arbitrary-precision rationals, polynomials in the
-deformation parameter (printed ``l``), polynomials in ``x`` whose
-coefficients are such polynomials, and formal power series in ``t``
-truncated at a fixed order whose coefficients live one level down.
+deformation parameter (printed ``l``) whose coefficients are ints when
+integral and Fractions otherwise, polynomials in ``x`` whose coefficients
+are such polynomials, and formal power series in ``t`` truncated at a
+fixed order whose coefficients live one level down.
 The two polynomial rungs are one class, ``Poly``: ``LambdaPoly`` and
 ``XPoly`` only name their coefficient ring and how they print, and an
 operand of a lower rung is lifted to the higher one.
@@ -232,15 +233,25 @@ class Poly:
 
 
 class LambdaPoly(Poly):
-    """Polynomial in the deformation parameter with rational coefficients."""
+    """Polynomial in the deformation parameter with exact rational coefficients,
+    held as ints when integral and as Fractions otherwise; evaluation gives a Fraction."""
 
     __slots__ = ()
-    _ZERO = Fraction(0)
-    _coeff = staticmethod(as_rational)
+    _ZERO = 0
+
+    @staticmethod
+    def _coeff(value):
+        if type(value) is int:
+            return value
+        q = as_rational(value)
+        return q.numerator if q.denominator == 1 else q
 
     @staticmethod
     def _lift(value):
         return value if isinstance(value, (int, Fraction)) else None
+
+    def __call__(self, value):
+        return Fraction(super().__call__(value))
 
     def __repr__(self):
         return f"LambdaPoly({list(self._coeffs)!r})"
@@ -486,8 +497,9 @@ def _cleared(polys) -> tuple:
 
 
 def _lambda_polys(rows, den: int = 1) -> list:
-    """Int lists in l, divided by den, as LambdaPolys."""
-    return [LambdaPoly(row if den == 1 else [Fraction(v, den) for v in row]) for row in rows]
+    """Int lists in l, divided by den, as LambdaPolys; an entry den divides stays an int."""
+    return [LambdaPoly(row if den == 1 else [v // den if v % den == 0 else Fraction(v, den)
+                                             for v in row]) for row in rows]
 
 
 def _evaluate(rows: list, den: int, x: Fraction, lam: Fraction) -> Fraction:

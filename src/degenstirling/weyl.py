@@ -204,7 +204,10 @@ def degenerate_product(n: int, r: int, s: int) -> NormalForm:
             raise ArithmeticError(f"entry {j} of the packed row overflows {b}-bit digits")
         if any(coeffs):
             terms[(shift + j, j)] = LambdaPoly(coeffs)
-    return NormalForm(terms)
+    # distinct diagonal keys and nonzero int polynomials: nothing to re-validate
+    nf = NormalForm()
+    nf._terms = terms
+    return nf
 
 
 def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:

@@ -60,6 +60,67 @@ def test_scalar_equality_and_hash_agree():
     assert hash(XPoly.constant(Fraction(1, 2))) == hash(Fraction(1, 2))
 
 
+# a coefficient as an int, a Fraction, or a string such as "4/2" or "-3"
+coefficient_inputs = st.one_of(
+    st.integers(-40, 40),
+    rationals,
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(1, 6)),
+    st.integers(-40, 40).map(str),
+)
+mixed_polys = st.lists(coefficient_inputs, max_size=4).map(LambdaPoly)
+
+
+def _assert_canonical(p: LambdaPoly):
+    # an integral coefficient is an int, any other a Fraction in lowest terms
+    for c in p.coeffs:
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+
+
+@settings(max_examples=100)
+@given(st.lists(coefficient_inputs, max_size=5))
+def test_coefficients_are_ints_exactly_when_integral(inputs):
+    p = LambdaPoly(inputs)
+    _assert_canonical(p)
+    assert p == LambdaPoly([Fraction(c) for c in inputs])
+    assert list(p.coeffs) == [Fraction(c) for c in inputs][:len(p.coeffs)]
+
+
+@settings(max_examples=100)
+@given(mixed_polys, mixed_polys, coefficient_inputs.map(Fraction), st.integers(0, 3))
+def test_arithmetic_keeps_coefficients_canonical(a, b, q, k):
+    results = [a + b, a - b, a * b, -a, a ** k, a + q, q - a, q * a]
+    if q:
+        results.append(a / q)
+    for p in results:
+        _assert_canonical(p)
+    if q:
+        assert (a / q) * q == a
+
+
+def test_an_integral_fraction_and_its_int_are_one_coefficient():
+    for halves, ints in (([Fraction(4, 2)], [2]), ([Fraction(-6, 3), 0, "8/4"], [-2, 0, 2])):
+        p, q = LambdaPoly(halves), LambdaPoly(ints)
+        assert p == q and hash(p) == hash(q)
+        assert (str(p), repr(p)) == (str(q), repr(q))
+        assert all(type(c) is int for c in p.coeffs)
+    assert hash(LambdaPoly([Fraction(4, 2)])) == hash(2) == hash(Fraction(2))
+    assert repr(LambdaPoly([Fraction(4, 2), Fraction(1, 2)])) == "LambdaPoly([2, Fraction(1, 2)])"
+    for bad in ([1.0], [Fraction(1, 2), 2.0]):
+        with pytest.raises(TypeError):
+            LambdaPoly(bad)
+    with pytest.raises(TypeError):
+        LAMBDA(1.0)
+
+
+@settings(max_examples=100)
+@given(mixed_polys, st.one_of(st.integers(-9, 9), rationals))
+def test_evaluation_returns_a_fraction(p, point):
+    value = p(point)
+    assert type(value) is Fraction
+    assert value == sum(Fraction(c) * Fraction(point) ** i for i, c in enumerate(p.coeffs))
+    assert type(LambdaPoly()(Fraction(1, 2))) is type(LambdaPoly([3])(2)) is Fraction
+
+
 def test_mixed_rung_operations_return_the_higher_rung():
     # rung of each operand: 0 scalar, 1 LambdaPoly, 2 XPoly
     operands = [

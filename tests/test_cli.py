@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -593,6 +596,22 @@ def _readme_examples() -> list:
             argv = shlex.split(lines[0][len("$ degenstirling "):])
             examples.append((argv, "".join(lines[1:])))
     return examples
+
+
+def test_a_closed_pipe_ends_quietly():
+    # the reader takes a few bytes of a row far larger than a pipe buffer
+    # and closes the pipe, as `| head -c 10` does: exit 1, no traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "degenstirling.cli", "table", "stirling2", "--n", "120"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (head, code, err) == (b'{"family":', 1, b"")
 
 
 def test_readme_cli_examples_are_byte_exact(capsys):

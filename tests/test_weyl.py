@@ -168,6 +168,19 @@ def test_packed_engine_matches_the_list_engine(n, r, s):
     assert degenerate_product(n, r, s) == _list_engine(n, r, s)
 
 
+@pytest.mark.parametrize("n, r, s", _LIST_ENGINE_SHAPES[:32] + ((20, 5, 5),))
+def test_trusted_build_is_a_validated_normal_form(n, r, s):
+    # degenerate_product hands its terms to NormalForm unchecked: building
+    # the same terms through the checks changes nothing, the keys lie on the
+    # diagonal, and every coefficient is a nonzero polynomial of ints
+    nf = degenerate_product(n, r, s)
+    assert nf == NormalForm(nf.terms) and hash(nf) == hash(NormalForm(nf.terms))
+    for (i, j), c in nf.terms.items():
+        assert i - j == n * (r - s)
+        assert type(c) is LambdaPoly and c.coeffs
+        assert all(type(v) is int for v in c.coeffs)
+
+
 def test_degenerate_product_validates_arguments():
     with pytest.raises(ValueError):
         degenerate_product(0, 1, 1)
