@@ -47,8 +47,11 @@ __all__ = [
 
 
 def as_rational(value) -> Fraction:
-    """Coerce int/str/Fraction to Fraction.  Floats are refused: a float
-    has already lost exactness before it reaches us."""
+    """Coerce int/str/Fraction to Fraction; a Fraction is returned as it is.
+    Floats are refused: a float has already lost exactness before it
+    reaches us."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass a Fraction, int or string")
     return Fraction(value)

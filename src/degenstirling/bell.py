@@ -198,8 +198,12 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     x = as_rational(x)
     lam = as_rational(lam)
     tol = as_rational(tol)
-    _require(x > 0, f"x must be positive, got {x}")
-    _require(tol > 0, f"tol must be positive, got {tol}")
+    # each message is built only when its check fails: str() of a valid x or
+    # tol past Python's int-to-str digit limit would raise
+    if not x > 0:
+        raise ValueError(f"x must be positive, got {x}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     u, v = lam.numerator, lam.denominator
     # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
@@ -249,7 +253,8 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
         f"need integers r > s >= 1, got r={r!r}, s={s!r}",
     )
     tol = as_rational(tol)
-    _require(tol > 0, f"tol must be positive, got {tol}")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
     def coeff(k: int) -> int:
         out = 1

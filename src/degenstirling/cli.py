@@ -6,6 +6,10 @@ Exit codes: 0 success, 1 a verification suite found a failing identity,
 JSON output is canonical: fixed key order, compact separators, every
 rational serialised as "p/q"; re-serialising parsed output reproduces the
 bytes exactly.
+
+`main` builds only the parser of the command it is given, not all four;
+none is kept between calls, because a parser held in module state lives
+as long as its module, in each copy of the package a process imports.
 """
 
 from __future__ import annotations
@@ -37,7 +41,16 @@ def _rat(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        pass
+    # Fraction parses the numerator, denominator and exponent each as an int,
+    # which Python refuses past its digit limit: name that limit, and leave
+    # the long token out of the one error line
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(len(re.sub(r"\D", "", part)) > limit for part in re.split(r"[/eE]", text)):
+        raise argparse.ArgumentTypeError(
+            f"a number in this rational has more than {limit} digits, past "
+            "Python's int-parse limit (PYTHONINTMAXSTRDIGITS raises it)")
+    raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
 # argparse reads a token such as "-1/2" after an option as another option;
@@ -343,15 +356,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="degenstirling",
-        description="Exact degenerate Stirling/Bell/Lah tables, boson normal "
-                    "ordering, and series verification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="print one coefficient row")
+def _table_arguments(p):
     p.add_argument("family", choices=sorted([*stirling.FAMILIES, *_BELL]))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
@@ -361,13 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate every entry at this rational value of l")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("normal-order", help="normal form of the degenerate product")
+
+def _normal_order_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=cmd_normal_order)
 
-    p = sub.add_parser("verify", help="run an identity suite; exit 1 on failure")
+
+def _verify_arguments(p):
     p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=4)
     p.add_argument("--max-r", dest="max_r", type=int, default=3)
@@ -376,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_rat, default=Fraction(1, 10 ** 12))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("dobinski", help="evaluate one Dobinski-style series")
+
+def _dobinski_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -385,12 +393,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_rat, default=Fraction(1, 10 ** 12))
     p.set_defaults(func=cmd_dobinski)
 
+
+# command -> (its help line, the function that adds its arguments to a parser)
+_COMMANDS = {
+    "table": ("print one coefficient row", _table_arguments),
+    "normal-order": ("normal form of the degenerate product", _normal_order_arguments),
+    "verify": ("run an identity suite; exit 1 on failure", _verify_arguments),
+    "dobinski": ("evaluate one Dobinski-style series", _dobinski_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="degenstirling",
+        description="Exact degenerate Stirling/Bell/Lah tables, boson normal "
+                    "ordering, and series verification.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone: the subparser build_parser() gives
+    it, with the same class, prog and arguments."""
+    parser = _Parser(prog=f"degenstirling {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_negative_rationals(argv))
+    argv = _join_negative_rationals(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _COMMANDS:
+        # argparse would hand every later token to this command's subparser
+        args = _command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -16,6 +16,7 @@ from degenstirling.algebra import (
     XPoly,
     _cleared,
     _evaluate,
+    as_rational,
     degenerate_exp_series,
     falling_scalar,
     gen_falling,
@@ -51,6 +52,14 @@ def test_floats_are_rejected():
         LambdaPoly([0.5])
     with pytest.raises(TypeError):
         XPoly([0.25])
+
+
+def test_as_rational_returns_a_fraction_as_it_is():
+    q = Fraction(3, 7)
+    assert as_rational(q) is q
+    assert as_rational(3) == as_rational("3/1") == Fraction(3)
+    with pytest.raises(TypeError):
+        as_rational(0.5)
 
 
 def test_scalar_equality_and_hash_agree():

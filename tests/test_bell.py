@@ -107,6 +107,20 @@ def test_dobinski_matches_exact_polynomial_value():
         assert res.terms_used >= 1
 
 
+def test_dobinski_takes_x_and_tol_past_the_int_digit_limit():
+    # str() of either value would pass Python's int-to-str digit limit; the
+    # checks must not format what they never print
+    tiny = Fraction(1, 10 ** 5000)
+    exact = bell_rs_poly(2, 3, 2)(1)(Fraction(1, 2))
+    res = dobinski_eval(2, 3, 2, 1, Fraction(1, 2), tiny)
+    assert res.tail_bound <= tiny
+    assert abs(res.value - exact) <= res.tail_bound
+    exact = bell_rs_poly(2, 3, 2)(tiny)(Fraction(1, 2))
+    res = dobinski_eval(2, 3, 2, tiny, Fraction(1, 2), TOL)
+    assert abs(res.value - exact) <= res.tail_bound <= TOL
+    assert abs(gamma_formula_classical(2, 2, 1, tiny).value - 3) <= tiny
+
+
 def test_dobinski_frozen_values():
     res = dobinski_eval(2, 4, 2, Fraction(1), Fraction(1, 2), TOL)
     assert abs(res.value - Fraction(35, 2)) <= res.tail_bound

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output bytes, exit codes, verification suites."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -230,6 +231,40 @@ def test_dobinski_prints_a_value_past_the_int_digit_limit(capsys):
     assert doc["value"] == rational_str(res.value)
     assert doc["tail_bound"] == rational_str(res.tail_bound)
     assert len(doc["value"]) > 4300
+
+
+@pytest.mark.parametrize("flag", ["--x", "--tol"])
+def test_dobinski_takes_a_rational_past_the_int_digit_limit(capsys, flag):
+    # 1e-5000 is parsed without an int of 5000 digits, and its denominator is
+    # past Python's int-to-str digit limit: the request is valid and exits 0
+    values = {"--x": "1", "--tol": "1/1000000000000", flag: "1e-5000"}
+    argv = ["dobinski", "--n", "2", "--r", "3", "--s", "2", "--lambda", "1/2"]
+    code, out, err = run(capsys, argv + [t for item in values.items() for t in item])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc[flag[2:]] == "1/1" + "0" * 5000
+    x, tol = (Fraction(values[f]) for f in ("--x", "--tol"))
+    res = bell.dobinski_eval(2, 3, 2, x, Fraction(1, 2), tol)
+    assert (doc["value"], doc["tail_bound"]) == (rational_str(res.value),
+                                                 rational_str(res.tail_bound))
+
+
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(_INT_DIGIT_LIMIT == 0, reason="no int digit limit is set")
+def test_a_rational_past_the_int_parse_limit_names_the_limit(capsys):
+    limit = _INT_DIGIT_LIMIT
+    token = "1/1" + "0" * limit
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "lah", "--n", "1", "--eval-lambda", token])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --eval-lambda: ")
+    assert captured.err.count("\n") == 1
+    assert f"more than {limit} digits" in captured.err and "int-parse limit" in captured.err
+    assert "0" * 100 not in captured.err
 
 
 def test_dobinski_domain_error(capsys):
@@ -584,6 +619,80 @@ def test_out_of_domain_requests_are_usage_errors(argv):
     code, out, err = _main(argv)
     assert (code, out) == (2, ""), argv
     assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def _subparsers(parser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("columns", ["80", "50"])
+def test_each_command_parser_is_its_subparser(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    subparsers = _subparsers(cli.build_parser())
+    assert list(subparsers) == list(cli._COMMANDS)
+    for name, subparser in subparsers.items():
+        assert cli._command_parser(name).format_help() == subparser.format_help()
+
+
+def _outcome(call, argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main_with_the_full_parser(argv) -> int:
+    # main as it reads with all four commands' parsers built on each call
+    args = cli.build_parser().parse_args(cli._join_negative_rationals(argv))
+    try:
+        return args.func(args)
+    except (cli.UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+_VALUE_FLAGS = {
+    "table": ["--n", "--r", "--s", "--format", "--eval-lambda"],
+    "normal-order": ["--n", "--r", "--s"],
+    "verify": ["--suite", "--max-n", "--max-r", "--max-s", "--order", "--tol"],
+    "dobinski": ["--n", "--r", "--s", "--x", "--lambda", "--tol"],
+}
+
+
+@st.composite
+def _malformed_requests(draw):
+    # a request of any command with one fault that argparse reports; verify's
+    # requests appear only here, where none of them runs its suites
+    argv = draw(st.one_of(_valid_requests(), _out_of_domain_requests(), st.sampled_from(
+        [["verify"], ["verify", "--suite=egf", "--order=2"], ["verify", "--max-n=1"]])))
+    fault = draw(st.sampled_from(
+        ["unknown flag", "missing value", "help", "unknown command", "empty"]))
+    if fault == "unknown flag":
+        at = draw(st.integers(1, len(argv)))
+        flag = draw(st.sampled_from(["--bogus", "--bogus=1", "-z", "--nn", "--"]))
+        return argv[:at] + [flag] + argv[at:]
+    if fault == "missing value":
+        joined = [i for i, token in enumerate(argv) if token.startswith("--") and "=" in token]
+        if joined and draw(st.booleans()):
+            at = draw(st.sampled_from(joined))
+            return argv[:at] + [argv[at].split("=")[0]] + argv[at + 1:]
+        return argv + [draw(st.sampled_from(_VALUE_FLAGS[argv[0]]))]
+    if fault == "help":
+        at = draw(st.integers(0, len(argv)))
+        return argv[:at] + [draw(st.sampled_from(["-h", "--help", "--he"]))] + argv[at:]
+    if fault == "unknown command":
+        return [draw(st.sampled_from(["tabel", "Table", "normal_order", "dob", "help"]))] + argv[1:]
+    return []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_valid_requests(), _out_of_domain_requests(), _malformed_requests()))
+def test_main_matches_the_full_parser(argv):
+    assert _outcome(cli.main, argv) == _outcome(_main_with_the_full_parser, argv), argv
 
 
 def _readme_examples() -> list:
