@@ -5,16 +5,11 @@ cross checks."""
 from .algebra import (
     LAMBDA,
     LambdaPoly,
-    TruncatedSeries,
     X,
     XPoly,
     as_rational,
-    degenerate_exp_series,
     falling_scalar,
-    gen_falling,
     rational_str,
-    rising_scalar,
-    series_exp,
 )
 from .bell import (
     DobinskiResult,
@@ -36,11 +31,9 @@ from .serieslab import (
 from .stirling import (
     BasisCoeffs,
     falling_basis_poly,
-    gen_falling_factorial,
     lah_degenerate,
     lah_signed_degenerate,
     r_stirling_degenerate,
-    rising_basis_poly,
     rr_basis_identity,
     stirling2_degenerate,
     stirling_rr_degenerate,

@@ -7,8 +7,8 @@ formula, so each check is an independent oracle for the other route.
 A series is held as its entries n! [t^n] in algebra's int (x, l) list
 format, whose _convolve and _degenerate_exp build the products and the
 degenerate exponentials.  Nothing is divided until a row is compared.
-The Fraction tower (TruncatedSeries, series_exp, degenerate_exp_series)
-builds the same series and is the tests' oracle.
+The tests build the same series a second way, in the Fraction series
+tower of tests/series_tower.py, and compare the two.
 """
 
 from __future__ import annotations

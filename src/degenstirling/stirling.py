@@ -41,7 +41,6 @@ from .algebra import (
     _require_at_least,
     _require_rs,
     falling_scalar,
-    gen_falling,
 )
 
 __all__ = [
@@ -49,8 +48,6 @@ __all__ = [
     "FAMILIES",
     "family_row",
     "falling_basis_poly",
-    "rising_basis_poly",
-    "gen_falling_factorial",
     "to_falling_basis",
     "to_rising_basis",
     "stirling2_degenerate",
@@ -75,21 +72,6 @@ def falling_basis_poly(k: int) -> XPoly:
     for i in range(k):
         p = p * (X - i)
     return p
-
-
-def rising_basis_poly(k: int) -> XPoly:
-    """<x>_k = x(x+1)...(x+k-1) as an XPoly."""
-    _require_at_least("k", k, 0)
-    p = XPoly.one()
-    for i in range(k):
-        p = p * (X + i)
-    return p
-
-
-def gen_falling_factorial(n: int) -> XPoly:
-    """(x)_{n,l} = x(x-l)...(x-(n-1)l)."""
-    _require_at_least("n", n, 0)
-    return gen_falling(X, n)
 
 
 @dataclass(frozen=True)

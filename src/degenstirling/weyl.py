@@ -43,10 +43,10 @@ class NormalForm:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=()):
+    def __init__(self, terms=None):
+        """terms maps each (creation, annihilation) key to its coefficient."""
         cleaned = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for key, coeff in items:
+        for key, coeff in (terms or {}).items():
             i, j = key
             _require(
                 isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0,
@@ -56,12 +56,7 @@ class NormalForm:
             if lp is None:
                 raise TypeError(f"cannot use {coeff!r} as a coefficient")
             if not lp.is_zero():
-                acc = cleaned.get((i, j))
-                lp = lp if acc is None else acc + lp
-                if lp.is_zero():
-                    cleaned.pop((i, j), None)
-                else:
-                    cleaned[(i, j)] = lp
+                cleaned[(i, j)] = lp
         self._terms = cleaned
 
     @classmethod
@@ -82,11 +77,6 @@ class NormalForm:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def at_lambda(self, lam_value) -> "NormalForm":
-        return NormalForm(
-            {key: LambdaPoly.constant(c(lam_value)) for key, c in self._terms.items()}
-        )
 
     def __add__(self, other):
         if not isinstance(other, NormalForm):

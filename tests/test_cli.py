@@ -729,3 +729,12 @@ def test_readme_cli_examples_are_byte_exact(capsys):
     for argv, expected in examples:
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (0, expected, ""), argv
+
+
+def test_readme_python_example_runs():
+    # the README's Python API block, asserts kept even under python -O
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec", optimize=0), namespace)
+    assert namespace["exact"] == Fraction(35, 2)

@@ -6,7 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import degenstirling
-from degenstirling import stirling
+from degenstirling import algebra, stirling, weyl
 
 SOURCE = Path(degenstirling.__file__).resolve().parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules([str(SOURCE)]))
@@ -44,3 +44,14 @@ def test_family_row_is_the_only_cache():
         if callable(getattr(obj, "cache_clear", None))
     }
     assert list(cached.values()) == [stirling.family_row]
+
+
+def test_the_series_tower_is_not_in_the_package():
+    # the Fraction series tower and the other test-only helpers live in
+    # tests/series_tower.py; the package ships one series implementation
+    moved = ["TruncatedSeries", "series_exp", "degenerate_exp_series", "gen_falling",
+             "rising_scalar", "gen_falling_factorial", "rising_basis_poly"]
+    for module in (degenstirling, algebra, stirling):
+        assert [n for n in moved if hasattr(module, n)] == [], module.__name__
+    assert not hasattr(algebra.XPoly, "at_lambda")
+    assert not hasattr(weyl.NormalForm, "at_lambda")

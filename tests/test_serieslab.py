@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling import serieslab
-from degenstirling.algebra import (
-    LAMBDA,
-    TruncatedSeries,
-    X,
-    XPoly,
-    degenerate_exp_series,
-    series_exp,
-)
+from degenstirling.algebra import LAMBDA, X, XPoly
 from degenstirling.bell import bell_rs_poly
 from degenstirling.serieslab import (
     CheckReport,
@@ -25,6 +18,8 @@ from degenstirling.serieslab import (
     stirling_egf_check,
 )
 from degenstirling.stirling import _lambda_polys
+
+from .series_tower import TruncatedSeries, degenerate_exp_series, series_exp
 
 
 def test_stirling_egf_holds():

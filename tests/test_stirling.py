@@ -13,11 +13,9 @@ from degenstirling.stirling import (
     BasisCoeffs,
     falling_basis_poly,
     family_row,
-    gen_falling_factorial,
     lah_degenerate,
     lah_signed_degenerate,
     r_stirling_degenerate,
-    rising_basis_poly,
     rr_basis_identity,
     stirling2_degenerate,
     stirling_rr_degenerate,
@@ -33,6 +31,7 @@ from .oracles import (
     set_partition_count,
     signed_lah_by_expansion,
 )
+from .series_tower import gen_falling_factorial, rising_basis_poly
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 small_polys = st.lists(rationals, max_size=5).map(XPoly)

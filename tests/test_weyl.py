@@ -11,6 +11,7 @@ from degenstirling.algebra import LAMBDA, LambdaPoly
 from degenstirling.weyl import NormalForm, degenerate_product, extract_stirling
 
 from .oracles import normal_order_letters, normal_order_power, normal_order_word
+from .series_tower import at_lambda
 
 
 def test_defining_relation():
@@ -101,13 +102,13 @@ def test_degenerate_product_lambda_zero_is_plain_power():
     # ((c^dag)^r a^s)^n
     base = NormalForm.ladder(2, 1)
     power = base * base * base
-    assert degenerate_product(3, 2, 1).at_lambda(0) == power
+    assert at_lambda(degenerate_product(3, 2, 1), 0) == power
 
 
 def test_degenerate_product_matches_rewriting_oracle():
     for n, r, s in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2)]:
         expected = normal_order_power(r, s, n)
-        assert degenerate_product(n, r, s).at_lambda(0).terms == {
+        assert at_lambda(degenerate_product(n, r, s), 0).terms == {
             key: LambdaPoly.constant(c) for key, c in expected.items()
         }
 
