@@ -14,8 +14,10 @@ Each series is summed in integers over one running denominator (scale *
 q^k * k!, with x = p/q), and so is the exp(-x) factor; the two are combined
 and the error budget checked by int cross-multiplication, so the only
 reductions are the two that build the value and the tail_bound.  These are
-the same rationals a term-by-term Fraction sum gives.  The balanced series
-dobinski_rr is the s = r case of dobinski_eval, not a second copy of it.
+the same rationals a term-by-term Fraction sum gives.  Each stopping test
+compares bit lengths first and cross-multiplies only when they cannot
+decide.  The balanced series dobinski_rr is the s = r case of dobinski_eval,
+not a second copy of it; verify sums each once for both checks that read it.
 """
 
 from __future__ import annotations
@@ -111,10 +113,18 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
     Once k >= k0 and the current term is within the budget bn/bd, the
     remaining tail is dominated by the geometric series and hence by
     |t_k| <= bn/bd.
+    The stopping test |a_k| bd <= bn den compares bit lengths first and
+    cross-multiplies only when they cannot decide.  A positive int m has
+    2^(bl(m)-1) <= m < 2^bl(m), bl = int.bit_length, so for a_k != 0
+      |a_k| bd >= 2^(bl(a_k) + bl(bd) - 2)  and  bn den < 2^(bl(bn) + bl(den)),
+    and bl(a_k) >= gap + bl(den), gap = bl(bn) - bl(bd) + 2, makes the test
+    fail; a_k = 0 always passes it.  Past k0 each term at least halves, so
+    only the last few terms (those under 8 bn/bd) reach the products.
     Returns (num, |a_k|, den, terms_used): the partial sum is num/den and its
     tail bound |a_k|/den.
     """
     num, den, pk = 0, scale, 1
+    gap = bn.bit_length() - bd.bit_length() + 2
     k = 0
     while True:
         if k:
@@ -122,8 +132,10 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
             den *= q * k
         a = coeff(k) * pk
         num += a
-        if k >= k0 and abs(a) * bd <= bn * den:
-            return num, abs(a), den, k + 1
+        if k >= k0:
+            m = abs(a)
+            if (not m or m.bit_length() < gap + den.bit_length()) and m * bd <= bn * den:
+                return num, m, den, k + 1
         pk *= p
         k += 1
 

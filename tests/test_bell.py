@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstirling.algebra import LAMBDA, X, XPoly
 from degenstirling.bell import (
+    _sum_series,
     bell_rs_poly,
     dobinski_eval,
     dobinski_rr,
@@ -266,3 +267,61 @@ def test_dobinski_rr_is_the_balanced_dobinski_eval_at_loose_tolerance(tol):
             for k in range(1, 5):
                 for r in range(1, 4):
                     _assert_balanced_is_general(k, r, x, lam, tol)
+
+
+# -- the bit-length screen leaves the stopping test's verdict unchanged -----
+
+def _unscreened_sum_series(coeff, p, q, scale, k0, bn, bd):
+    """_sum_series with the exact cross-multiplied stopping test at every
+    k >= k0 and no bit-length screen: the loop the screen must agree with."""
+    num, den, pk = 0, scale, 1
+    k = 0
+    while True:
+        if k:
+            num *= q * k
+            den *= q * k
+        a = coeff(k) * pk
+        num += a
+        if k >= k0 and abs(a) * bd <= bn * den:
+            return num, abs(a), den, k + 1
+        pk *= p
+        k += 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-(10 ** 6), 10 ** 6) | st.just(0), min_size=1, max_size=12),
+    st.integers(-40, 40).filter(bool),
+    st.integers(1, 40),
+    st.integers(1, 10 ** 9),
+    st.integers(0, 12),
+    st.integers(0, 3),
+    st.integers(1, 2 ** 80),
+    st.none() | st.tuples(st.integers(1, 2 ** 64), st.integers(1, 2 ** 4000)),
+)
+# a gap one bit too small skips this tie; a screen that reads a zero term's
+# bit length skips the zero term that stops the second
+@example([1], 1, 1, 3, 0, 0, 3, None)
+@example([0], 1, 8, 1, 0, 1, 1, None)
+def test_screened_stopping_test_matches_the_exact_one(coeffs, p, q, scale, k0, past,
+                                                      scaled, budget):
+    # past the list every coefficient is 0, which passes the exact test, so
+    # both loops stop; the caller's halving guarantee is not needed for that
+    def coeff(k):
+        return coeffs[k] if k < len(coeffs) else 0
+
+    k0 = min(k0, len(coeffs))
+    if budget is None:
+        # a budget equal to |t_k*| = |a_k*|/den_k* at k* >= k0, both sides
+        # scaled by the same factor, so the products' bit lengths tie at k*
+        star = k0 + past
+        den = scale
+        for k in range(1, star + 1):
+            den *= q * k
+        bn, bd = (abs(coeff(star) * p ** star) or 1) * scaled, den * scaled
+    else:
+        # tolerances down to 2^-4000, where a zero term's bit length is
+        # below gap + bl(den)
+        bn, bd = budget
+    args = (coeff, p, q, scale, k0, bn, bd)
+    assert _sum_series(*args) == _unscreened_sum_series(*args)

@@ -403,6 +403,49 @@ def test_verify_dobinski_fails_where_a_wrong_weyl_row_is_used(capsys, monkeypatc
     assert _failed_dobinski_checks(capsys) == ["dobinski-balanced[k=2,r=3]"]
 
 
+def test_verify_dobinski_reads_one_balanced_sum_in_both_checks(capsys, monkeypatch):
+    # the balanced series is summed once by dobinski_rr: a wrong value at
+    # (k, r) = (2, 3) must fail both checks that read it, and nothing else
+    real = bell.dobinski_rr
+
+    def bumped(k, r, x, lam, tol):
+        res = real(k, r, x, lam, tol)
+        if (k, r) == (2, 3):
+            return bell.DobinskiResult(res.value + 1, res.terms_used, res.tail_bound)
+        return res
+
+    monkeypatch.setattr(bell, "dobinski_rr", bumped)
+    assert _failed_dobinski_checks(capsys) == [
+        "dobinski-balanced[k=2,r=3]",
+        "dobinski-series[n=2,r=3,s=3]",
+    ]
+
+
+def test_verify_dobinski_sums_each_series_once(capsys, monkeypatch):
+    # 6 (r, s) pairs x 4 orders x 9 grid points; the 108 balanced sums that
+    # dobinski-balanced reads are among them
+    calls = []
+    real_eval, real_rr = bell.dobinski_eval, bell.dobinski_rr
+
+    def counted_eval(n, r, s, x, lam, tol):
+        calls.append((n, r, s, x, lam))
+        return real_eval(n, r, s, x, lam, tol)
+
+    def counted_rr(k, r, x, lam, tol):
+        calls.append((k, r, r, x, lam))
+        with monkeypatch.context() as inner:  # dobinski_rr calls dobinski_eval
+            inner.setattr(bell, "dobinski_eval", real_eval)
+            return real_rr(k, r, x, lam, tol)
+
+    monkeypatch.setattr(bell, "dobinski_eval", counted_eval)
+    monkeypatch.setattr(bell, "dobinski_rr", counted_rr)
+    code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "dobinski"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["checks"]) == 60
+    assert len(calls) == 216
+    assert len(set(calls)) == 216
+
+
 def test_verify_with_no_checks_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, ["verify", "--suite", "oracles", "--max-n", "0", "--max-r", "0"]
