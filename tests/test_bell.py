@@ -320,8 +320,8 @@ def test_screened_stopping_test_matches_the_exact_one(coeffs, p, q, scale, k0, p
             den *= q * k
         bn, bd = (abs(coeff(star) * p ** star) or 1) * scaled, den * scaled
     else:
-        # tolerances down to 2^-4000, where a zero term's bit length is
-        # below gap + bl(den)
+        # budgets down to 2^-4000, where gap + bl(den) can be 0 or less, so
+        # a zero term must pass without its bit length being compared
         bn, bd = budget
     args = (coeff, p, q, scale, k0, bn, bd)
     assert _sum_series(*args) == _unscreened_sum_series(*args)
