@@ -33,6 +33,7 @@ from .stirling import (
     falling_basis_poly,
     lah_degenerate,
     lah_signed_degenerate,
+    newton_row,
     r_stirling_degenerate,
     rr_basis_identity,
     stirling2_degenerate,

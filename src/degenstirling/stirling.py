@@ -14,20 +14,25 @@ list format, and the basis converter _basis_expand (to_falling_basis,
 to_rising_basis) peels it by synthetic division in that format, over the
 common denominator cleared once: the kernel's second route, which the
 tests and serieslab's rr-egf use.
-stirling_rs_degenerate is the finite-difference route: the paper's
-alternating sum, which takes the k-th Newton difference at 0 of the
-defining product evaluated at x = 0, 1, ..., k, summed in int lists in l.
-It shares no code with the kernel or with the Weyl engine
-(weyl.degenerate_product), and verify's triple-oracle checks compare all
-three.  Only family_row is memoised.  Every result is exact; classical
-values are only ever obtained by evaluating at l = 0.
+newton_row is the finite-difference route for every family: the factor
+list's product at x = 0, 1, 2, ... (0, -1, -2, ... in the rising basis),
+in int lists in l, and one forward-difference table built in place give
+every Newton difference at 0.  For stirling-rs that is the paper's
+alternating sum, which stirling_rs_degenerate reads.  It shares no code
+with the kernel or the Weyl engine (weyl.degenerate_product); verify's
+triple-oracle checks compare all three.  The kernel, Family.polynomial and
+newton_row all read the factor list, so a wrong list is seen only by the
+Weyl engine (stirling-rs and lah rows), the series lab and
+test_family_polynomials_are_the_documented_products.  Only family_row is
+memoised.  Every result is exact; classical values are only ever obtained
+by evaluating at l = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 from .algebra import (
@@ -47,6 +52,7 @@ __all__ = [
     "BasisCoeffs",
     "FAMILIES",
     "family_row",
+    "newton_row",
     "falling_basis_poly",
     "to_falling_basis",
     "to_rising_basis",
@@ -63,6 +69,8 @@ __all__ = [
 # Bound on family_row, the only cache in the package, so that no process grows
 # without limit; a full `degenstirling verify` fills 118 of its entries.
 _CACHE_SIZE = 1024
+
+_NOT_VANISHING = "alternating sum failed to vanish beyond n*s"
 
 
 def falling_basis_poly(k: int) -> XPoly:
@@ -223,6 +231,36 @@ def family_row(name: str, n: int, *params) -> BasisCoeffs:
     return BasisCoeffs(coefficients, family.basis)
 
 
+def newton_row(name: str, n: int, *params, upto: int | None = None) -> list:
+    """Entries 0..upto (default: the degree in x) of a registered family's
+    row by finite differences: the factor list's product P(p) =
+    prod [(p + c)_depth - d l] at p = 0..upto, as int lists in l, then one
+    forward-difference table, so that entry k is Delta^k P(0) / k!.  In the
+    rising basis <x>_k = (-1)^k (-x)_k, so entry k is (-1)^k Delta^k Q(0) / k!
+    with Q(y) = P(-y), and entries past the degree vanish.  The factor list
+    is the one family_row reads, so a wrong list is seen not here but by the
+    Weyl engine (stirling-rs and lah rows), the series lab and
+    test_family_polynomials_are_the_documented_products."""
+    family = FAMILIES[name]
+    _require_at_least("n", n, family.least_n)
+    family.check(*params)
+    factors = family.factors(n, *params)
+    sign = 1 if family.basis == "falling" else -1
+    upto = sum(depth for _, depth, _ in factors) if upto is None else upto
+    _require_at_least("upto", upto, 0)
+    table = []
+    for p in range(upto + 1):
+        prod = [1]
+        for c, depth, d in factors:
+            a = falling_scalar(sign * p + c, depth)
+            prod = [a * u - d * v for u, v in zip([*prod, 0], [0, *prod])]
+        table.append(prod)
+    for k in range(1, upto + 1):  # table[i] becomes Delta^k P(i - k) for i >= k
+        for i in range(upto, k - 1, -1):
+            table[i] = [u - v for u, v in zip(table[i], table[i - 1])]
+    return [_lambda_polys([row], sign ** k * factorial(k))[0] for k, row in enumerate(table)]
+
+
 def _entry(row: BasisCoeffs, k: int) -> LambdaPoly:
     _require_at_least("k", k, 0)
     return row.coefficient(k)
@@ -247,26 +285,20 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
 
     the k-th Newton difference at 0 of the defining product over k!, which
     picks out the coefficient of (x)_k because sum_p (-1)^(k-p) C(k, p)
-    (p)_j = k! when j = k and 0 otherwise.
+    (p)_j = k! when j = k and 0 otherwise.  One call reads, and costs, the
+    whole newton_row("stirling-rs", n, r, s, upto=max(k, n*s)); its factor
+    list is checked by the Weyl engine, the series lab and
+    test_family_polynomials_are_the_documented_products.
 
     Returns the canonical zero for k > n*s, and checks that the formula
     itself vanishes there.
     """
-    _require_at_least("n", n, 1)
     _require_at_least("k", k, 0)
-    _require_rs(r, s)
-    # each product is an int coefficient list in l with n + 1 entries
-    total = [0] * (n + 1)
-    for p in range(k + 1):
-        prod = [1]
-        for j in range(1, n + 1):
-            a, d = falling_scalar(p + (j - 1) * (r - s), s), n - j
-            prod = [a * u - d * v for u, v in zip([*prod, 0], [0, *prod])]
-        weight = (-1) ** (k - p) * comb(k, p)
-        total = [t + weight * c for t, c in zip(total, prod)]
-    if k > n * s and any(total):
-        raise ArithmeticError("alternating sum failed to vanish beyond n*s")
-    return _lambda_polys([total], factorial(k))[0]
+    _require_rs(r, s)  # before n * s is formed
+    row = newton_row("stirling-rs", n, r, s, upto=max(k, n * s))
+    if not all(c.is_zero() for c in row[n * s + 1:]):
+        raise ArithmeticError(_NOT_VANISHING)
+    return row[k]
 
 
 def stirling_rr_degenerate(n: int, k: int, r: int) -> LambdaPoly:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstirling import bell, cli, stirling, weyl
+from degenstirling import bell, cli, serieslab, stirling, weyl
 from degenstirling.algebra import X, rational_str
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -444,6 +445,68 @@ def test_verify_dobinski_sums_each_series_once(capsys, monkeypatch):
     assert len(json.loads(out)["checks"]) == 60
     assert len(calls) == 216
     assert len(set(calls)) == 216
+
+
+def test_verify_oracles_builds_each_closed_row_once(monkeypatch):
+    # one Newton row per (n, r, s) of the 6 (r, s) pairs x 4 orders; the
+    # balanced and lah checks read rows among them, and no check goes
+    # through the one-entry closed form
+    calls, entries = [], []
+    real = stirling.newton_row
+
+    def counted(name, n, *params, upto=None):
+        calls.append((name, n, params, upto))
+        return real(name, n, *params, upto=upto)
+
+    monkeypatch.setattr(stirling, "newton_row", counted)
+    monkeypatch.setattr(stirling, "stirling_rs_degenerate", lambda *args: entries.append(args))
+    checks = cli._suite_oracles(4, 3, 3)
+    assert len(checks) == 91 and all(c["pass"] for c in checks)
+    assert len(calls) == len(set(calls)) == 24
+    assert entries == []
+
+
+def test_verify_egf_sums_the_r0_bell_series_once(monkeypatch):
+    # bell-egf is r-bell-egf at r = 0: one series, reported under both names
+    calls = []
+    real = serieslab.r_bell_egf_check
+
+    def counted(r, order=10):
+        calls.append(r)
+        return real(r, order)
+
+    monkeypatch.setattr(serieslab, "r_bell_egf_check", counted)
+    checks = cli._suite_egf(6, 3)
+    assert calls == [0, 1, 2, 3]
+    assert [c["identity"] for c in checks[7:12]] == [
+        "bell-egf", *(f"r-bell-egf[r={r}]" for r in range(4))]
+    assert checks[7] == cli._egf_record(serieslab.bell_egf_check(6))
+
+
+def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeypatch):
+    # the kernel, the Newton row and Family.polynomial all read the registry's
+    # factor list, so factored-identity passes on a wrong list; the Weyl
+    # engine shares nothing with it, and triple-oracle fails
+    family = stirling.FAMILIES["stirling-rs"]
+
+    def factors(n, r, s):
+        (c, depth, d), *rest = family.factors(n, r, s)
+        return [(c, depth, d + 1), *rest]
+
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs",
+                        dataclasses.replace(family, factors=factors))
+    stirling.family_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", "oracles"])
+    finally:
+        stirling.family_row.cache_clear()
+    assert (code, err) == (1, "")
+    passed = {c["identity"]: c["pass"] for c in json.loads(out)["checks"]}
+    triple = [v for k, v in passed.items() if k.startswith("triple-oracle")]
+    factored = [v for k, v in passed.items() if k.startswith("factored-identity")]
+    assert len(triple) == len(factored) == 24
+    assert not any(triple)
+    assert all(factored)
 
 
 def test_verify_with_no_checks_is_a_usage_error(capsys):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from degenstirling import stirling
 from degenstirling.algebra import LAMBDA, LambdaPoly, X, XPoly
+from degenstirling.weyl import degenerate_product, extract_stirling
 from degenstirling.stirling import (
     BasisCoeffs,
     falling_basis_poly,
     family_row,
     lah_degenerate,
     lah_signed_degenerate,
+    newton_row,
     r_stirling_degenerate,
     rr_basis_identity,
     stirling2_degenerate,
@@ -190,15 +192,61 @@ def test_family_polynomials_are_the_documented_products():
     assert stirling.FAMILIES["lah-signed"].polynomial(2) == (X + LAMBDA) * (X - 1)
 
 
-def test_family_row_validates_its_arguments():
+@pytest.mark.parametrize("route", [family_row, newton_row])
+def test_family_row_validates_its_arguments(route):
     with pytest.raises(KeyError):
-        family_row("nosuch", 1)
+        route("nosuch", 1)
     with pytest.raises(TypeError):
-        family_row("stirling-rs", 2, 4)
+        route("stirling-rs", 2, 4)
     with pytest.raises(ValueError):
-        family_row("lah", -1)
+        route("lah", -1)
     with pytest.raises(ValueError):
-        family_row("r-stirling", 2, -1)
+        route("r-stirling", 2, -1)
+
+
+def test_newton_row_validates_upto():
+    with pytest.raises(ValueError):
+        newton_row("lah", 2, upto=-1)
+    assert newton_row("lah", 2, upto=0) == [LambdaPoly([0, -1])]  # P(0) = (0 - l)(0 + 1)
+
+
+# each family's parameters, drawn inside its domain
+rs_params = st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r)))
+_DOMAINS = {
+    "stirling2": st.just(()),
+    "stirling-rs": rs_params,
+    "stirling-rr": st.tuples(st.integers(1, 4)),
+    "r-stirling": st.tuples(st.integers(0, 5)),
+    "lah": st.just(()),
+    "lah-signed": st.just(()),
+}
+family_requests = st.sampled_from(sorted(_DOMAINS)).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(stirling.FAMILIES[name].least_n, 10),
+                           _DOMAINS[name]))
+
+
+def test_every_family_has_a_domain_strategy():
+    assert sorted(_DOMAINS) == sorted(stirling.FAMILIES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_requests)
+def test_newton_row_is_the_kernel_row(request):
+    # the finite-difference route against the factor kernel, for every
+    # family, lah-signed's rising basis included; past the degree it vanishes
+    name, n, params = request
+    kernel = list(family_row(name, n, *params).coefficients)
+    assert newton_row(name, n, *params) == kernel
+    longer = newton_row(name, n, *params, upto=len(kernel) + 1)
+    assert longer == kernel + [LambdaPoly.zero()] * 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), rs_params)
+def test_newton_row_is_the_weyl_row(n, rs):
+    r, s = rs
+    assert newton_row("stirling-rs", n, r, s) == extract_stirling(
+        degenerate_product(n, r, s), n, r, s)
 
 
 def test_stirling2_counts_set_partitions_at_lambda_zero():
