@@ -16,14 +16,21 @@ and the error budget checked by int cross-multiplication, so the only
 reductions are the two that build the value and the tail_bound.  These are
 the same rationals a term-by-term Fraction sum gives.  Each stopping test
 compares bit lengths first and cross-multiplies only when they cannot
-decide.  The balanced series dobinski_rr is the s = r case of dobinski_eval,
-not a second copy of it; verify sums each once for both checks that read it.
+decide.  Each coefficient is built from products computed in C:
+math.perm(k + c, s) of nonnegative ints for every falling factorial of the
+Dobinski series, and math.prod over an int range for every Gamma ratio;
+algebra.falling_scalar remains the general helper, for Fractions and
+negative ints.  The balanced series dobinski_rr is the s = r case of
+dobinski_eval, not a second copy of it; verify sums each once for both
+checks that read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import perm, prod
 
 from .algebra import (
     XPoly,
@@ -37,7 +44,6 @@ from .algebra import (
     _require_at_least,
     _require_rs,
     as_rational,
-    falling_scalar,
 )
 from .stirling import family_row
 
@@ -107,9 +113,12 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
     """Sum t_k = coeff(k) p^k / (scale q^k k!) from k = 0 upward, in
     integers over one running denominator.
 
-    num/den is the partial sum with den = scale q^k k!: each step scales both
-    by q k and adds a_k = coeff(k) p^k, so t_k = a_k/den and nothing is
-    reduced.  The caller guarantees |t_{k+1}/t_k| <= 1/2 for every k >= k0.
+    num/den is the partial sum with den = scale q^k k!: each step adds
+    a_k = coeff(k) p^k, so t_k = a_k/den, and after the stopping test scales
+    both by a running q (k+1); nothing is reduced, and one step serves the
+    main, balanced, Gamma-ratio and exp(-x) series alike.  Each caller's coeff
+    multiplies C-level math.perm or math.prod products of ints.
+    The caller guarantees |t_{k+1}/t_k| <= 1/2 for every k >= k0.
     Once k >= k0 and the current term is within the budget bn/bd, the
     remaining tail is dominated by the geometric series and hence by
     |t_k| <= bn/bd.
@@ -123,13 +132,9 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
     Returns (num, |a_k|, den, terms_used): the partial sum is num/den and its
     tail bound |a_k|/den.
     """
-    num, den, pk = 0, scale, 1
+    num, den, pk, qk = 0, scale, 1, 0
     gap = bn.bit_length() - bd.bit_length() + 2
-    k = 0
-    while True:
-        if k:
-            num *= q * k
-            den *= q * k
+    for k in count():
         a = coeff(k) * pk
         num += a
         if k >= k0:
@@ -137,7 +142,9 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
             if (not m or m.bit_length() < gap + den.bit_length()) and m * bd <= bn * den:
                 return num, m, den, k + 1
         pk *= p
-        k += 1
+        qk += q
+        num *= qk
+        den *= qk
 
 
 def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction) -> int:
@@ -155,14 +162,17 @@ def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction)
     denominators cleared,
 
       2 a ((k+1)(g e + d))^factor_count <= b (k+1) ((k+1-depth)(g e - d))^factor_count.
+
+    g is math.perm(k, depth): k >= depth >= 1, so it is the falling factorial
+    of nonnegative ints that algebra.falling_scalar also gives.
     """
     a, b = abs(x.numerator), x.denominator
     d, e = drift.numerator, drift.denominator
     k = depth
-    while falling_scalar(k, depth) * e < 2 * d:
+    while perm(k, depth) * e < 2 * d:
         k += 1
     while True:
-        g = falling_scalar(k, depth) * e
+        g = perm(k, depth) * e
         if 2 * a * ((k + 1) * (g + d)) ** factor_count \
                 <= b * (k + 1) * ((k + 1 - depth) * (g - d)) ** factor_count:
             return k
@@ -220,14 +230,15 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     u, v = lam.numerator, lam.denominator
     # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
     # so each distinct falling factorial is computed once per term (at
-    # s = r every shift is 0: once, not n times)
+    # s = r every shift is 0: once, not n times), as math.perm(k + shift, s)
+    # of nonnegative ints, which is 0 for k + shift < s like the product
     factors = [((j - 1) * (r - s), (n - j) * u) for j in range(1, n + 1)]
 
     def coeff(k: int) -> int:  # v^n times the product
         out, shift, fall = 1, None, 0
         for c, drop in factors:
             if c != shift:
-                shift, fall = c, falling_scalar(k + c, s) * v
+                shift, fall = c, perm(k + c, s) * v
             out *= fall - drop
         return out
 
@@ -268,11 +279,12 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
+    step = r - s
+
     def coeff(k: int) -> int:
         out = 1
         for l in range(1, s + 1):
-            for i in range(n):
-                out *= k - l + 1 + i * (r - s)
+            out *= prod(range(k - l + 1, k - l + 1 + n * step, step))
         return out
 
     # for k >= s all q_kl are positive and each rising-factorial ratio is at

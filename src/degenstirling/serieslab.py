@@ -79,19 +79,27 @@ def _exp(u: list) -> list:
     return y
 
 
+def _stirling_egf_reports(order: int, start: int = 0):
+    """stirling_egf_check(k, order) for k = start, start + 1, ..., order, each
+    power (e_l(t) - 1)^k built from the last by one product."""
+    em1 = [[], *_degenerate_exp([[1]], order)[1:]]
+    pw = [[[1]], *[[]] * order]
+    for k in range(order + 1):
+        if k:
+            pw = _product(pw, em1)
+        if k >= start:
+            pairs = (
+                (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
+                 XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
+                for n in range(order + 1)
+            )
+            yield _report(f"stirling2-egf[k={k}]", order, pairs)
+
+
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
     _require(isinstance(k, int) and 0 <= k <= order, f"need 0 <= k <= order, got {k!r}")
-    em1 = [[], *_degenerate_exp([[1]], order)[1:]]
-    pw = [[[1]], *[[]] * order]
-    for _ in range(k):
-        pw = _product(pw, em1)
-    pairs = (
-        (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
-         XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
-        for n in range(order + 1)
-    )
-    return _report(f"stirling2-egf[k={k}]", order, pairs)
+    return next(_stirling_egf_reports(order, k))
 
 
 def bell_egf_check(order: int = 10) -> CheckReport:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenstirling.algebra import LAMBDA, X, XPoly
+from degenstirling import bell
+from degenstirling.algebra import LAMBDA, X, XPoly, falling_scalar
 from degenstirling.bell import (
     _sum_series,
     bell_rs_poly,
@@ -325,3 +326,52 @@ def test_screened_stopping_test_matches_the_exact_one(coeffs, p, q, scale, k0, p
         bn, bd = budget
     args = (coeff, p, q, scale, k0, bn, bd)
     assert _sum_series(*args) == _unscreened_sum_series(*args)
+
+
+# -- each series coefficient is its defining product -----------------------
+
+def _main_series_coeff(call):
+    """The coeff callable that call() hands _sum_series first: the main
+    series, before _combine_with_exp sums exp(-x)."""
+    seen = []
+    real = bell._sum_series
+
+    def capturing(coeff, *rest):
+        seen.append(coeff)
+        return real(coeff, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bell, "_sum_series", capturing)
+        call()
+    return seen[0]
+
+
+# n <= 4 and s <= r <= 4, so k < s (a zero falling factorial) and range steps
+# r - s >= 2 both occur
+small_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda t: (max(t), min(t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), small_shapes, lambdas)
+def test_series_coefficient_is_the_defining_product(n, rs, lam):
+    r, s = rs
+    coeff = _main_series_coeff(lambda: dobinski_eval(n, r, s, 1, lam, Fraction(1, 2)))
+    u, v = lam.numerator, lam.denominator
+    for k in range(61):
+        product = 1
+        for j in range(1, n + 1):
+            product *= falling_scalar(k + (j - 1) * (r - s), s) * v - (n - j) * u
+        assert coeff(k) == product, (k, n, r, s, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), small_shapes.filter(lambda rs: rs[0] > rs[1]))
+def test_gamma_coefficient_is_the_nested_product(n, rs):
+    r, s = rs
+    coeff = _main_series_coeff(lambda: gamma_formula_classical(n, r, s, Fraction(1, 2)))
+    for k in range(61):
+        product = 1
+        for l in range(1, s + 1):
+            for i in range(n):
+                product *= k - l + 1 + i * (r - s)
+        assert coeff(k) == product, (k, n, r, s)

@@ -483,6 +483,23 @@ def test_verify_egf_sums_the_r0_bell_series_once(monkeypatch):
     assert checks[7] == cli._egf_record(serieslab.bell_egf_check(6))
 
 
+def test_verify_egf_builds_each_power_once(monkeypatch):
+    # the seven stirling2-egf checks read one chain of powers of e_l(t) - 1:
+    # 6 products, and 1 for each of the four r-bell-egf series
+    calls = []
+    real = serieslab._product
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(serieslab, "_product", counted)
+    checks = cli._suite_egf(6, 3)
+    assert len(calls) == 10
+    monkeypatch.undo()
+    assert checks[:7] == [cli._egf_record(serieslab.stirling_egf_check(k, 6)) for k in range(7)]
+
+
 def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeypatch):
     # the kernel, the Newton row and Family.polynomial all read the registry's
     # factor list, so factored-identity passes on a wrong list; the Weyl
