@@ -16,13 +16,14 @@ and the error budget checked by int cross-multiplication, so the only
 reductions are the two that build the value and the tail_bound.  These are
 the same rationals a term-by-term Fraction sum gives.  Each stopping test
 compares bit lengths first and cross-multiplies only when they cannot
-decide.  Each coefficient is built from products computed in C:
-math.perm(k + c, s) of nonnegative ints for every falling factorial of the
-Dobinski series, and math.prod over an int range for every Gamma ratio;
-algebra.falling_scalar remains the general helper, for Fractions and
-negative ints.  The balanced series dobinski_rr is the s = r case of
-dobinski_eval, not a second copy of it; verify sums each once for both
-checks that read it.
+decide.  Each coefficient multiplies math.perm(k + c, s), computed in C,
+of nonnegative ints; algebra.falling_scalar remains the general helper, for
+Fractions and negative ints.  The balanced series dobinski_rr is the s = r
+case of dobinski_eval, and the Gamma-ratio series gamma_formula_classical
+its (x, l) = (1, 0) case, summed by the same code from another start index;
+verify sums each balanced series once for both checks that read it.  The
+series keeps its own copy of the stirling-rs factor list, so a wrong
+registry list fails verify's dobinski-series checks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import perm, prod
+from math import perm
 
 from .algebra import (
     XPoly,
@@ -116,8 +117,8 @@ def _sum_series(coeff, p: int, q: int, scale: int, k0: int,
     num/den is the partial sum with den = scale q^k k!: each step adds
     a_k = coeff(k) p^k, so t_k = a_k/den, and after the stopping test scales
     both by a running q (k+1); nothing is reduced, and one step serves the
-    main, balanced, Gamma-ratio and exp(-x) series alike.  Each caller's coeff
-    multiplies C-level math.perm or math.prod products of ints.
+    Dobinski and exp(-x) series alike.  The Dobinski coeff multiplies
+    math.perm products of ints, computed in C.
     The caller guarantees |t_{k+1}/t_k| <= 1/2 for every k >= k0.
     Once k >= k0 and the current term is within the budget bn/bd, the
     remaining tail is dominated by the geometric series and hence by
@@ -208,6 +209,31 @@ def _combine_with_exp(num: int, tail: int, den: int, used: int,
     return DobinskiResult(Fraction(wn * num, out_den), used, Fraction(err, out_den))
 
 
+def _dobinski_series(n: int, r: int, s: int, x: Fraction, lam: Fraction,
+                     tol: Fraction, k0: int) -> DobinskiResult:
+    """The Dobinski series of dobinski_eval for validated arguments, summed
+    from the caller's start index k0 on; dobinski_eval and
+    gamma_formula_classical differ only in the k0 they pass."""
+    u, v = lam.numerator, lam.denominator
+    # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
+    # so each distinct falling factorial is computed once per term (at
+    # s = r every shift is 0: once, not n times), as math.perm(k + shift, s)
+    # of nonnegative ints, which is 0 for k + shift < s like the product
+    factors = [((j - 1) * (r - s), (n - j) * u) for j in range(1, n + 1)]
+
+    def coeff(k: int) -> int:  # v^n times the product
+        out, shift, fall = 1, None, 0
+        for c, drop in factors:
+            if c != shift:
+                shift, fall = c, perm(k + c, s) * v
+            out *= fall - drop
+        return out
+
+    series = _sum_series(coeff, x.numerator, x.denominator, v ** n, k0,
+                         tol.numerator, 6 * tol.denominator)
+    return _combine_with_exp(*series, x, tol)
+
+
 def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     """Evaluate the degenerate (r, s)-Bell polynomial at x > 0 and a rational
     l by its Dobinski-style series
@@ -226,26 +252,7 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
         raise ValueError(f"x must be positive, got {x}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-
-    u, v = lam.numerator, lam.denominator
-    # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
-    # so each distinct falling factorial is computed once per term (at
-    # s = r every shift is 0: once, not n times), as math.perm(k + shift, s)
-    # of nonnegative ints, which is 0 for k + shift < s like the product
-    factors = [((j - 1) * (r - s), (n - j) * u) for j in range(1, n + 1)]
-
-    def coeff(k: int) -> int:  # v^n times the product
-        out, shift, fall = 1, None, 0
-        for c, drop in factors:
-            if c != shift:
-                shift, fall = c, perm(k + c, s) * v
-            out *= fall - drop
-        return out
-
-    k0 = _factored_start(x, n, s, n * abs(lam))
-    series = _sum_series(coeff, x.numerator, x.denominator, v ** n, k0,
-                         tol.numerator, 6 * tol.denominator)
-    return _combine_with_exp(*series, x, tol)
+    return _dobinski_series(n, r, s, x, lam, tol, _factored_start(x, n, s, n * abs(lam)))
 
 
 def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
@@ -269,7 +276,10 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
 
     q_kl = (k-l+1)/(r-s), valid for r > s.  Each Gamma ratio is the rising
     factorial q(q+1)...(q+n-1) = prod_{i<n} (k-l+1+i(r-s)) / (r-s)^n, so the
-    prefactor cancels and every term is an integer over k!."""
+    prefactor cancels and every term is an integer over k!.  Grouped by i,
+    prod_{l=1..s} prod_{i<n} (k-l+1+i(r-s)) = prod_{j=1..n} (k+(j-1)(r-s))_s,
+    dobinski_eval's coefficient at l = 0: this is the Dobinski series at
+    (x, l) = (1, 0), summed by the same code from its own start index."""
     _require_at_least("n", n, 1)
     _require(
         isinstance(r, int) and isinstance(s, int) and r > s >= 1,
@@ -279,19 +289,10 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    step = r - s
-
-    def coeff(k: int) -> int:
-        out = 1
-        for l in range(1, s + 1):
-            out *= prod(range(k - l + 1, k - l + 1 + n * step, step))
-        return out
-
     # for k >= s all q_kl are positive and each rising-factorial ratio is at
     # most (1 + 1/(k-s+1))^n, giving the decreasing majorant
     # (k-s+2)^(s n) / ((k+1) (k-s+1)^(s n)); start where it is <= 1/2
     k0 = s
     while 2 * (k0 - s + 2) ** (s * n) > (k0 + 1) * (k0 - s + 1) ** (s * n):
         k0 += 1
-    series = _sum_series(coeff, 1, 1, 1, k0, tol.numerator, 6 * tol.denominator)
-    return _combine_with_exp(*series, Fraction(1), tol)
+    return _dobinski_series(n, r, s, Fraction(1), Fraction(0), tol, k0)

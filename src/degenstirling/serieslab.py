@@ -14,6 +14,7 @@ tower of tests/series_tower.py, and compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, islice, repeat
 from math import factorial
 from typing import Optional
 
@@ -79,27 +80,25 @@ def _exp(u: list) -> list:
     return y
 
 
-def _stirling_egf_reports(order: int, start: int = 0):
-    """stirling_egf_check(k, order) for k = start, start + 1, ..., order, each
-    power (e_l(t) - 1)^k built from the last by one product."""
+def _stirling_egf_reports(order: int):
+    """stirling_egf_check(k, order) for k = 0, 1, ..., order, each power
+    (e_l(t) - 1)^k built from the last by one product, only once the caller
+    asks for its report."""
     em1 = [[], *_degenerate_exp([[1]], order)[1:]]
-    pw = [[[1]], *[[]] * order]
-    for k in range(order + 1):
-        if k:
-            pw = _product(pw, em1)
-        if k >= start:
-            pairs = (
-                (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
-                 XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
-                for n in range(order + 1)
-            )
-            yield _report(f"stirling2-egf[k={k}]", order, pairs)
+    powers = accumulate(repeat(em1, order), _product, initial=[[[1]], *[[]] * order])
+    for k, pw in enumerate(powers):
+        pairs = (
+            (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
+             XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
+            for n in range(order + 1)
+        )
+        yield _report(f"stirling2-egf[k={k}]", order, pairs)
 
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
     _require(isinstance(k, int) and 0 <= k <= order, f"need 0 <= k <= order, got {k!r}")
-    return next(_stirling_egf_reports(order, k))
+    return next(islice(_stirling_egf_reports(order), k, None))
 
 
 def bell_egf_check(order: int = 10) -> CheckReport:

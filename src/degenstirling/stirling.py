@@ -21,8 +21,9 @@ every Newton difference at 0.  For stirling-rs that is the paper's
 alternating sum, which stirling_rs_degenerate reads.  It shares no code
 with the kernel or the Weyl engine (weyl.degenerate_product); verify's
 triple-oracle checks compare all three.  The kernel, Family.polynomial and
-newton_row all read the factor list, so a wrong list is seen only by the
-Weyl engine (stirling-rs and lah rows), the series lab and
+newton_row all read the factor list, so a wrong list is seen not by them
+but by the Weyl engine (stirling-rs and lah rows), the series lab, bell's
+Dobinski series, which keeps its own copy of the stirling-rs list, and
 test_family_polynomials_are_the_documented_products.  Only family_row is
 memoised.  Every result is exact; classical values are only ever obtained
 by evaluating at l = 0.
@@ -239,8 +240,8 @@ def newton_row(name: str, n: int, *params, upto: int | None = None) -> list:
     rising basis <x>_k = (-1)^k (-x)_k, so entry k is (-1)^k Delta^k Q(0) / k!
     with Q(y) = P(-y), and entries past the degree vanish.  The factor list
     is the one family_row reads, so a wrong list is seen not here but by the
-    Weyl engine (stirling-rs and lah rows), the series lab and
-    test_family_polynomials_are_the_documented_products."""
+    Weyl engine (stirling-rs and lah rows), the series lab, bell's Dobinski
+    series (stirling-rs) and test_family_polynomials_are_the_documented_products."""
     family = FAMILIES[name]
     _require_at_least("n", n, family.least_n)
     family.check(*params)
@@ -287,8 +288,8 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
     picks out the coefficient of (x)_k because sum_p (-1)^(k-p) C(k, p)
     (p)_j = k! when j = k and 0 otherwise.  One call reads, and costs, the
     whole newton_row("stirling-rs", n, r, s, upto=max(k, n*s)); its factor
-    list is checked by the Weyl engine, the series lab and
-    test_family_polynomials_are_the_documented_products.
+    list is checked by the Weyl engine, the series lab, bell's Dobinski
+    series and test_family_polynomials_are_the_documented_products.
 
     Returns the canonical zero for k > n*s, and checks that the formula
     itself vanishes there.

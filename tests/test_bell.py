@@ -217,6 +217,16 @@ def test_gamma_series_matches_fraction_reference(n, rs, tol):
     assert _fields(gamma_formula_classical(n, r, s, tol)) == gamma_reference(n, r, s, tol)
 
 
+@pytest.mark.parametrize("rs", [(4, 1), (4, 2), (5, 2), (5, 3), (6, 3)])
+def test_gamma_series_matches_fraction_reference_at_wider_steps(rs):
+    # r - s >= 2 with s >= 2: the Gamma ratios step by r - s inside each
+    # of the s rising factorials, which no other Fraction-reference test reaches
+    r, s = rs
+    for n in (1, 2, 3):
+        for tol in (Fraction(1, 10 ** 12), Fraction(1, 10 ** 100), Fraction(1, 10 ** 300)):
+            assert _fields(gamma_formula_classical(n, r, s, tol)) == gamma_reference(n, r, s, tol)
+
+
 @pytest.mark.parametrize("tol", [Fraction(10 ** 9), Fraction(1, 2), Fraction(1, 1000)])
 def test_series_match_fraction_reference_at_loose_tolerance(tol):
     # at a loose tolerance the sum often stops at its start index (at 10^9

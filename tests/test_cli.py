@@ -526,6 +526,35 @@ def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeyp
     assert all(factored)
 
 
+def test_verify_dobinski_sees_a_wrong_factor_list(capsys, monkeypatch):
+    # the Dobinski series keeps its own copy of the stirling-rs factor list,
+    # so a wrong registry list makes the Bell row it is compared with wrong:
+    # every dobinski-series check fails.  The balanced checks compare the
+    # series with the Weyl row, the Gamma-ratio checks read the row at l = 0,
+    # where the wrong d l term vanishes, and double-sum-identity compares two
+    # readers of the registry list, so those pass
+    family = stirling.FAMILIES["stirling-rs"]
+
+    def factors(n, r, s):
+        (c, depth, d), *rest = family.factors(n, r, s)
+        return [(c, depth, d + 1), *rest]
+
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs",
+                        dataclasses.replace(family, factors=factors))
+    stirling.family_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", "dobinski", "--order", "6"])
+    finally:
+        stirling.family_row.cache_clear()
+    assert (code, err) == (1, "")
+    passed = {c["identity"]: c["pass"] for c in json.loads(out)["checks"]}
+    series = [v for k, v in passed.items() if k.startswith("dobinski-series")]
+    others = [v for k, v in passed.items() if not k.startswith("dobinski-series")]
+    assert len(series) == 24 and len(others) == 36
+    assert not any(series)
+    assert all(others)
+
+
 def test_verify_with_no_checks_is_a_usage_error(capsys):
     code, out, err = run(
         capsys, ["verify", "--suite", "oracles", "--max-n", "0", "--max-r", "0"]
