@@ -131,10 +131,12 @@ def cmd_table(args) -> int:
 # normal-order
 
 def cmd_normal_order(args) -> int:
-    nf = weyl.degenerate_product(args.n, args.r, args.s)
+    # the packed row itself, j descending: the NormalForm's terms in reverse key order
+    row = weyl._packed_row(args.n, args.r, args.s)
+    shift = args.n * (args.r - args.s)
     records = [
-        {"i": i, "j": j, "coeff": _poly_cells(c)}
-        for (i, j), c in sorted(nf.terms.items(), reverse=True)
+        {"i": shift + j, "j": j, "coeff": list(map(rational_str, row[j]))}
+        for j in range(len(row) - 1, -1, -1) if row[j]
     ]
     print(canonical_json(records))
     return 0
@@ -245,8 +247,9 @@ def _suite_oracles(max_n: int, max_r: int, max_s: int) -> list:
 
 def _suite_egf(order: int, max_r: int) -> list:
     # each power of e_l(t) - 1 is built once, from the one before
-    reports = islice(serieslab._stirling_egf_reports(order), min(6, order) + 1)
-    checks = [_egf_record(report) for report in reports]
+    powers = islice(serieslab._egf_powers(order), min(6, order) + 1)
+    checks = [_egf_record(serieslab._stirling_egf_report(k, pw, order))
+              for k, pw in enumerate(powers)]
     # the r = 0 shifted Bell series is the Bell series: summed once, reported as both
     r_bell = [_egf_record(serieslab.r_bell_egf_check(r, order)) for r in range(max_r + 1)]
     checks.append({**r_bell[0], "identity": "bell-egf"})
@@ -310,7 +313,7 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
             rows, den = _cleared(weyl.extract_stirling(weyl.degenerate_product(n, r, r), n, r, r))
             worst, _ = grid(n, r, r, rows, den)
             checks.append(_check(f"dobinski-balanced[k={n},r={r}]", worst <= tol))
-            ok = bell.bell_rs_poly(n, r, r) == XPoly(stirling.newton_row("stirling-rs", n, r, r))
+            ok = bell.bell_rs_poly(n, r, r) == XPoly(stirling.newton_row("stirling-rr", n, r))
             checks.append(_check(f"double-sum-identity[n={n},r={r}]", ok))
     for r in range(2, max_r + 1):
         for s in range(1, r):

@@ -80,25 +80,26 @@ def _exp(u: list) -> list:
     return y
 
 
-def _stirling_egf_reports(order: int):
-    """stirling_egf_check(k, order) for k = 0, 1, ..., order, each power
-    (e_l(t) - 1)^k built from the last by one product, only once the caller
-    asks for its report."""
+def _egf_powers(order: int):
+    """(e_l(t) - 1)^k for k = 0, 1, ..., order, each built from the last by
+    one product, only once the caller asks for it."""
     em1 = [[], *_degenerate_exp([[1]], order)[1:]]
-    powers = accumulate(repeat(em1, order), _product, initial=[[[1]], *[[]] * order])
-    for k, pw in enumerate(powers):
-        pairs = (
-            (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
-             XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
-            for n in range(order + 1)
-        )
-        yield _report(f"stirling2-egf[k={k}]", order, pairs)
+    return accumulate(repeat(em1, order), _product, initial=[[[1]], *[[]] * order])
+
+
+def _stirling_egf_report(k: int, pw: list, order: int) -> CheckReport:
+    pairs = (
+        (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
+         XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
+        for n in range(order + 1)
+    )
+    return _report(f"stirling2-egf[k={k}]", order, pairs)
 
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
     _require(isinstance(k, int) and 0 <= k <= order, f"need 0 <= k <= order, got {k!r}")
-    return next(islice(_stirling_egf_reports(order), k, None))
+    return _stirling_egf_report(k, next(islice(_egf_powers(order), k, None)), order)
 
 
 def bell_egf_check(order: int = 10) -> CheckReport:

@@ -10,12 +10,12 @@ which is what repeated single swaps a a+ -> a+ a + 1 collapse to.
 
 NormalForm multiplication is the general engine: it multiplies any two
 normal forms and serves as the reference the specialised engine is tested
-against.  degenerate_product uses the same reordering formula, but its
-product lives on one diagonal (i - j fixed by the number of factors) and
-has integer coefficients in l, so it absorbs one factor at a time into a
-row indexed by the annihilation power.  Each entry of that row is packed
-into one int at l = 2^b, with b sized by a first pass at l = -1 (the
-l = -1 majorant) and each entry decoded into exactly n signed b-bit digits.
+against.  The degenerate product lives on one diagonal (i - j fixed by the
+number of factors) with int coefficients in l, so _packed_row absorbs one
+factor at a time into a row indexed by the annihilation power, each entry
+packed into one int at l = 2^b (b sized by a first pass at l = -1) and
+decoded into n signed b-bit digits.  degenerate_product wraps that row into
+a NormalForm; the CLI's normal-order prints it as it is.
 
 The row extract_stirling reads off degenerate_product is the (r, s)
 Stirling row by normal ordering.  It is one of the three routes that
@@ -141,29 +141,30 @@ class NormalForm:
         return f"NormalForm({{{body}}})"
 
 
-def degenerate_product(n: int, r: int, s: int) -> NormalForm:
-    """Normal form of the product over k = 0..n-1 of
-    ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost.
+def _packed_row(n: int, r: int, s: int) -> list:
+    """The product over k = 0..n-1 of ((a+)^r a^s - k l (a+)^(r-s)), k = 0
+    leftmost, as its diagonal row: entry j is the int coefficient list in l,
+    trailing zeros trimmed, of (a+)^(n(r-s)+j) a^j.
 
-    After m factors every term is (a+)^(m(r-s)+j) a^j, so the running
-    product is a row indexed by j whose entries are int polynomials in l.
     Multiplying on the right by factor k reorders a^j past the creation
     powers with weights t! C(j, t) C(., t): the (a+)^r a^s term sends j to
-    j - t + s, and the -k l (a+)^(r-s) term sends j to j - t, scaled by -k l.
+    j - t + s, and the -k l (a+)^(r-s) term sends j to j - t, scaled by
+    -k l.  Each weight table holds every source j's (target, weight) pairs.
 
     Each entry is carried as one int, its polynomial evaluated at l = 2^b
     (Kronecker substitution), so an absorption is one big-int multiply-add
     rather than a loop over l-coefficients, and the factor l is a shift by
-    b bits.  The weight tables are built once per call.  A first pass at
-    l = -1 makes every weight nonnegative, so each of its entries bounds the
-    sum of the absolute l-coefficients of the true entry; b is one bit more
-    than the largest.  Every coefficient then fits a signed b-bit digit, and
-    each entry is read back as exactly n digits (the l-degree is at most
-    n - 1); anything left over raises ArithmeticError."""
+    b bits.  A first pass at l = -1 makes every weight nonnegative, so each
+    of its entries bounds the sum of the absolute l-coefficients of the true
+    entry; b is one bit more than the largest.  Every coefficient then fits
+    a signed b-bit digit, and _unpack reads each entry back as exactly n
+    digits (the l-degree is at most n - 1)."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
     _require_rs(r, s)
-    up, down = ([[perm(j, t) * comb(c, t) for t in range(min(j, c) + 1)]
-                 for j in range(n * s + 1)] for c in (r, r - s))
+    up, down = ([[(j - t + lift, perm(j, t) * w) for t, w in enumerate(combs[:j + 1])]
+                 for j in range(n * s + 1)]
+                for lift, combs in ((s, [comb(r, t) for t in range(r + 1)]),
+                                    (0, [comb(r - s, t) for t in range(r - s + 1)])))
 
     def run(sign: int, b: int) -> list:
         # the row at l = sign * 2^b; -k l v is a shift, not a multiply
@@ -171,32 +172,47 @@ def degenerate_product(n: int, r: int, s: int) -> NormalForm:
         for k in range(n):
             new = [0] * (len(row) + s)
             for j, v in enumerate(row):
-                for t, w in enumerate(up[j]):
-                    new[j - t + s] += w * v
+                for i, w in up[j]:
+                    new[i] += w * v
                 if k:
                     v = (-sign * k * v) << b
-                    for t, w in enumerate(down[j]):
-                        new[j - t] += w * v
+                    for i, w in down[j]:
+                        new[i] += w * v
             row = new
         return row
 
     b = max(run(-1, 0)).bit_length() + 1
-    half, mask = 1 << (b - 1), (1 << b) - 1
-    shift = n * (r - s)
-    terms = {}
-    for j, v in enumerate(run(1, b)):
-        coeffs = []
-        for _ in range(n):
-            d = ((v + half) & mask) - half
-            coeffs.append(d)
-            v = (v - d) >> b
-        if v:
+    return _unpack(run(1, b), b, n)
+
+
+def _unpack(packed: list, b: int, n: int) -> list:
+    """Each int as its n signed b-bit digits, lowest first, trailing zeros
+    trimmed.  The offset H = 2^(b-1) (2^(bn) - 1) / (2^b - 1) is 2^(b-1) in
+    every digit, so digit i of v + H, less 2^(b-1), is digit i of v; anything
+    of v + H above the n-th digit raises ArithmeticError."""
+    half, mask, top = 1 << (b - 1), (1 << b) - 1, b * n
+    offset = half * ((1 << top) - 1) // mask
+    out = []
+    for j, v in enumerate(packed):
+        w = v + offset
+        if w >> top:
             raise ArithmeticError(f"entry {j} of the packed row overflows {b}-bit digits")
-        if any(coeffs):
-            terms[(shift + j, j)] = LambdaPoly(coeffs)
+        coeffs = [((w >> b * i) & mask) - half for i in range(n)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(coeffs)
+    return out
+
+
+def degenerate_product(n: int, r: int, s: int) -> NormalForm:
+    """Normal form of the product over k = 0..n-1 of
+    ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost: each
+    nonzero entry j of _packed_row as the term (a+)^(n(r-s)+j) a^j."""
+    row = _packed_row(n, r, s)
+    shift = n * (r - s)
     # distinct diagonal keys and nonzero int polynomials: nothing to re-validate
     nf = NormalForm()
-    nf._terms = terms
+    nf._terms = {(shift + j, j): LambdaPoly(c) for j, c in enumerate(row) if c}
     return nf
 
 

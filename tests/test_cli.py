@@ -529,10 +529,11 @@ def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeyp
 def test_verify_dobinski_sees_a_wrong_factor_list(capsys, monkeypatch):
     # the Dobinski series keeps its own copy of the stirling-rs factor list,
     # so a wrong registry list makes the Bell row it is compared with wrong:
-    # every dobinski-series check fails.  The balanced checks compare the
-    # series with the Weyl row, the Gamma-ratio checks read the row at l = 0,
-    # where the wrong d l term vanishes, and double-sum-identity compares two
-    # readers of the registry list, so those pass
+    # every dobinski-series check fails, and so does every
+    # double-sum-identity, whose right side is the stirling-rr row.  The
+    # balanced checks compare the series with the Weyl row and the
+    # Gamma-ratio checks read the row at l = 0, where the wrong d l term
+    # vanishes, so those pass
     family = stirling.FAMILIES["stirling-rs"]
 
     def factors(n, r, s):
@@ -549,10 +550,35 @@ def test_verify_dobinski_sees_a_wrong_factor_list(capsys, monkeypatch):
     assert (code, err) == (1, "")
     passed = {c["identity"]: c["pass"] for c in json.loads(out)["checks"]}
     series = [v for k, v in passed.items() if k.startswith("dobinski-series")]
-    others = [v for k, v in passed.items() if not k.startswith("dobinski-series")]
-    assert len(series) == 24 and len(others) == 36
-    assert not any(series)
+    double = [v for k, v in passed.items() if k.startswith("double-sum-identity")]
+    others = [v for k, v in passed.items()
+              if not k.startswith(("dobinski-series", "double-sum-identity"))]
+    assert len(series) == 24 and len(double) == 12 and len(others) == 24
+    assert not any(series) and not any(double)
     assert all(others)
+
+
+def test_verify_dobinski_sees_a_wrong_stirling_rr_factor_list(capsys, monkeypatch):
+    # double-sum-identity compares the Bell polynomial, read off the
+    # stirling-rs list, with the Newton row of the stirling-rr list: a wrong
+    # stirling-rr list fails every one of them, and nothing else
+    family = stirling.FAMILIES["stirling-rr"]
+
+    def factors(n, r):
+        (c, depth, d), *rest = family.factors(n, r)
+        return [(c, depth, d + 1), *rest]
+
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rr",
+                        dataclasses.replace(family, factors=factors))
+    stirling.family_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--suite", "dobinski", "--order", "6"])
+    finally:
+        stirling.family_row.cache_clear()
+    assert (code, err) == (1, "")
+    failed = [c["identity"] for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [f"double-sum-identity[n={n},r={r}]"
+                      for r in range(1, 4) for n in range(1, 5)]
 
 
 def test_verify_with_no_checks_is_a_usage_error(capsys):
@@ -726,6 +752,28 @@ def test_valid_requests_print_canonical_json(argv):
     code, out, err = _main(argv)
     assert (code, err) == (0, ""), argv
     assert cli.canonical_json(json.loads(out)) + "\n" == out
+
+
+@st.composite
+def _weyl_shapes(draw):
+    r = draw(st.integers(1, 5))
+    return draw(st.integers(1, 8)), r, draw(st.integers(1, r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weyl_shapes())
+def test_normal_order_prints_the_normal_form(shape):
+    # normal-order prints the packed row directly; the NormalForm that
+    # degenerate_product builds from the same row, its terms in reverse key
+    # order, is the oracle for every byte
+    n, r, s = shape
+    terms = weyl.degenerate_product(n, r, s).terms
+    expected = cli.canonical_json([
+        {"i": i, "j": j, "coeff": cli._poly_cells(c)}
+        for (i, j), c in sorted(terms.items(), reverse=True)
+    ])
+    argv = ["normal-order", "--n", str(n), "--r", str(r), "--s", str(s)]
+    assert _main(argv) == (0, expected + "\n", "")
 
 
 @st.composite

@@ -36,6 +36,30 @@ def test_stirling_egf_validates_k():
         stirling_egf_check(-1)
 
 
+def test_stirling_egf_check_compares_only_the_power_it_returns(monkeypatch):
+    # the k-th power costs k products from the chain, and only that power is
+    # compared with the closed form: one report, not k + 1
+    products, reports = [], []
+    real_product, real_report = serieslab._product, serieslab._report
+
+    def counted_product(a, b):
+        products.append(b)
+        return real_product(a, b)
+
+    def counted_report(identity, order, pairs):
+        reports.append(identity)
+        return real_report(identity, order, pairs)
+
+    monkeypatch.setattr(serieslab, "_product", counted_product)
+    monkeypatch.setattr(serieslab, "_report", counted_report)
+    for k in (0, 3, 10):
+        products.clear()
+        reports.clear()
+        report = stirling_egf_check(k, 10)
+        assert report.passed and report.identity == f"stirling2-egf[k={k}]"
+        assert (len(products), reports) == (k, [f"stirling2-egf[k={k}]"])
+
+
 def test_bell_egf_holds():
     assert bell_egf_check(order=8)
 

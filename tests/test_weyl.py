@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling.algebra import LAMBDA, LambdaPoly
+from degenstirling import weyl
 from degenstirling.weyl import NormalForm, degenerate_product, extract_stirling
 
 from .oracles import normal_order_letters, normal_order_power, normal_order_word
@@ -180,6 +181,61 @@ def test_trusted_build_is_a_validated_normal_form(n, r, s):
         assert i - j == n * (r - s)
         assert type(c) is LambdaPoly and c.coeffs
         assert all(type(v) is int for v in c.coeffs)
+
+
+def _digit_loop(v, b, n):
+    """The decode the offset form replaced: peel one signed b-bit digit at a
+    time, n digits, and refuse anything left over."""
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    coeffs = []
+    for _ in range(n):
+        d = ((v + half) & mask) - half
+        coeffs.append(d)
+        v = (v - d) >> b
+    if v:
+        raise ArithmeticError("left over")
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+@st.composite
+def _packed_values(draw):
+    # n signed b-bit digits, and a multiple of 2^(bn) on top that is zero
+    # for an in-range value; or any int of about the same size
+    b, n = draw(st.integers(1, 70)), draw(st.integers(1, 9))
+    half = 1 << (b - 1)
+    if draw(st.booleans()):
+        digits = draw(st.lists(st.integers(-half, half - 1), min_size=n, max_size=n))
+        extra = draw(st.one_of(st.just(0), st.integers(-3, 3)))
+        v = sum(d << (b * i) for i, d in enumerate(digits)) + (extra << (b * n))
+    else:
+        v = draw(st.integers(-(1 << (b * n + 2)), 1 << (b * n + 2)))
+    return v, b, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_values())
+def test_offset_decode_is_the_digit_loop(case):
+    v, b, n = case
+    try:
+        expected = _digit_loop(v, b, n)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError, match=f"entry 0 .* {b}-bit digits"):
+            weyl._unpack([v], b, n)
+    else:
+        assert weyl._unpack([v], b, n) == [expected]
+
+
+def test_offset_decode_names_the_entry_that_overflows():
+    # with b = 4 and n = 2 the values run from -8 - 8*16 to 7 + 7*16;
+    # zero is the empty list
+    assert weyl._unpack([5, -3, 0, 119, -136], 4, 2) == [[5], [-3], [], [7, 7], [-8, -8]]
+    for v in (120, -137):
+        with pytest.raises(ArithmeticError):
+            weyl._unpack([v], 4, 2)
+    with pytest.raises(ArithmeticError, match="entry 1 of the packed row overflows 4-bit"):
+        weyl._unpack([5, 1 << 8, 0], 4, 2)
 
 
 def test_degenerate_product_validates_arguments():
