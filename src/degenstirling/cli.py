@@ -132,7 +132,7 @@ def cmd_table(args) -> int:
 
 def cmd_normal_order(args) -> int:
     # the packed row itself, j descending: the NormalForm's terms in reverse key order
-    row = weyl._packed_row(args.n, args.r, args.s)
+    row = weyl.diagonal_row(args.n, args.r, args.s)
     shift = args.n * (args.r - args.s)
     records = [
         {"i": shift + j, "j": j, "coeff": list(map(rational_str, row[j]))}

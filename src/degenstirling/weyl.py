@@ -11,11 +11,11 @@ which is what repeated single swaps a a+ -> a+ a + 1 collapse to.
 NormalForm multiplication is the general engine: it multiplies any two
 normal forms and serves as the reference the specialised engine is tested
 against.  The degenerate product lives on one diagonal (i - j fixed by the
-number of factors) with int coefficients in l, so _packed_row absorbs one
-factor at a time into a row indexed by the annihilation power, each entry
-packed into one int at l = 2^b (b sized by a first pass at l = -1) and
-decoded into n signed b-bit digits.  degenerate_product wraps that row into
-a NormalForm; the CLI's normal-order prints it as it is.
+number of factors) with int coefficients in l, so diagonal_row absorbs each
+factor by single commutations a^j a+ = a+ a^j + j a^(j-1) into a row indexed
+by the annihilation power, each entry one int at l = 2^b, b read off the
+product's action on x^m.  degenerate_product wraps that row into a
+NormalForm; the CLI's normal-order prints it as it is.
 
 The row extract_stirling reads off degenerate_product is the (r, s)
 Stirling row by normal ordering.  It is one of the three routes that
@@ -26,13 +26,16 @@ it shares no code with either.
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from itertools import accumulate, count, repeat
+from math import comb, factorial, perm, prod
+from operator import add, floordiv, lshift, mul
 
 from .algebra import LambdaPoly, _require, _require_rs
 
 __all__ = [
     "NormalForm",
     "degenerate_product",
+    "diagonal_row",
     "extract_stirling",
 ]
 
@@ -141,48 +144,45 @@ class NormalForm:
         return f"NormalForm({{{body}}})"
 
 
-def _packed_row(n: int, r: int, s: int) -> list:
+def diagonal_row(n: int, r: int, s: int) -> list:
     """The product over k = 0..n-1 of ((a+)^r a^s - k l (a+)^(r-s)), k = 0
     leftmost, as its diagonal row: entry j is the int coefficient list in l,
     trailing zeros trimmed, of (a+)^(n(r-s)+j) a^j.
 
-    Multiplying on the right by factor k reorders a^j past the creation
-    powers with weights t! C(j, t) C(., t): the (a+)^r a^s term sends j to
-    j - t + s, and the -k l (a+)^(r-s) term sends j to j - t, scaled by
-    -k l.  Each weight table holds every source j's (target, weight) pairs.
-
-    Each entry is carried as one int, its polynomial evaluated at l = 2^b
-    (Kronecker substitution), so an absorption is one big-int multiply-add
-    rather than a loop over l-coefficients, and the factor l is a shift by
-    b bits.  A first pass at l = -1 makes every weight nonnegative, so each
-    of its entries bounds the sum of the absolute l-coefficients of the true
-    entry; b is one bit more than the largest.  Every coefficient then fits
-    a signed b-bit digit, and _unpack reads each entry back as exactly n
-    digits (the l-degree is at most n - 1)."""
+    Factor k, (a+)^(r-s) ((a+)^s a^s - k l), is r single commutations
+    a^j a+ = a+ a^j + j a^(j-1) on the right, each adding (j+1) times entry
+    j+1 to entry j; the row after the first r - s, times -k l, is the l-term,
+    and a^s prepends s zeros.  Each entry is one int, its polynomial at
+    l = 2^b (b from _digit_width): a commutation is one pass of big-int
+    multiply-adds, l a shift, and _unpack reads n signed b-bit digits back."""
     _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
     _require_rs(r, s)
-    up, down = ([[(j - t + lift, perm(j, t) * w) for t, w in enumerate(combs[:j + 1])]
-                 for j in range(n * s + 1)]
-                for lift, combs in ((s, [comb(r, t) for t in range(r + 1)]),
-                                    (0, [comb(r - s, t) for t in range(r - s + 1)])))
+    b = _digit_width(n, r, s)
+    row = [1]
+    for k in range(n):
+        for step in range(r):
+            if step == r - s:
+                held = row[:]
+            row[:-1] = map(add, row, map(mul, count(1), row[1:]))
+        row = [0] * s + row
+        if k:
+            row[:len(held)] = map(add, row, map(lshift, map(mul, held, repeat(-k)), repeat(b)))
+    return _unpack(row, b, n)
 
-    def run(sign: int, b: int) -> list:
-        # the row at l = sign * 2^b; -k l v is a shift, not a multiply
-        row = [1]
-        for k in range(n):
-            new = [0] * (len(row) + s)
-            for j, v in enumerate(row):
-                for i, w in up[j]:
-                    new[i] += w * v
-                if k:
-                    v = (-sign * k * v) << b
-                    for i, w in down[j]:
-                        new[i] += w * v
-            row = new
-        return row
 
-    b = max(run(-1, 0)).bit_length() + 1
-    return _unpack(run(1, b), b, n)
+def _digit_width(n: int, r: int, s: int) -> int:
+    """The digit width b of diagonal_row, read off the product's action on
+    x^m with a+ = x, a = d/dx: x^m goes to P(m) x^(m+n(r-s)), with P(m) =
+    prod_k ((m + (n-1-k)(r-s))_s - k l), and to sum_j e_j (m)_j x^(m+n(r-s))
+    by the normal form.  At l = -1 all absorption weights are nonnegative, so
+    e_j(-1) >= 0 bounds the sum of the absolute l-coefficients of e_j, and
+    e_j(-1) <= P_-1(j) / j! <= e max_i e_i(-1); b is one bit more than the
+    largest floor(P_-1(j) / j!)."""
+    d, top = r - s, n * s + 1
+    ff = list(map(perm, range(n * r + 1), repeat(s)))  # (m)_s; factor k is at m + (n-1-k) d
+    at = (prod(map(add, ff[j:j + n * d:d] if d else repeat(ff[j], n), range(n - 1, -1, -1)))
+          for j in range(top))
+    return max(map(floordiv, at, accumulate(range(1, top), mul, initial=1))).bit_length() + 1
 
 
 def _unpack(packed: list, b: int, n: int) -> list:
@@ -207,8 +207,8 @@ def _unpack(packed: list, b: int, n: int) -> list:
 def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     """Normal form of the product over k = 0..n-1 of
     ((a+)^r a^s - k l (a+)^(r-s)), with the k = 0 factor leftmost: each
-    nonzero entry j of _packed_row as the term (a+)^(n(r-s)+j) a^j."""
-    row = _packed_row(n, r, s)
+    nonzero entry j of diagonal_row as the term (a+)^(n(r-s)+j) a^j."""
+    row = diagonal_row(n, r, s)
     shift = n * (r - s)
     # distinct diagonal keys and nonzero int polynomials: nothing to re-validate
     nf = NormalForm()

@@ -35,6 +35,8 @@ PINS = [
      "729c90d37c8f86005b9afa9f49bd50191980baf5aa0a753cf9196ed64faf83c1"),
     ("normal-order --n 60 --r 4 --s 3",
      "2ca65947cc808dac985935241f8ff2f66fc419b1426b26c13d5fd97eb8eaff80"),
+    ("normal-order --n 30 --r 5 --s 2",
+     "a2eb34aa37ca49f56eefee1e9c1ae790abb45584f735c300edecc467916cd662"),
     ("table stirling-rs --n 6 --r 3 --s 2 --eval-lambda 2",
      "6bc629ac24f83caed58bdefd7e8e79497a4247ed2dca098c125d6ddc616399b9"),
     ("table stirling-rs --n 6 --r 3 --s 2 --eval-lambda=-3 --format csv",

@@ -51,7 +51,7 @@ def test_the_workflow_checks_the_same_pins():
         r"(?:degenstirling|python -O -m degenstirling\.cli) (.+?) > (\S+\.out)", text)}
     for path, body in re.findall(r"python - > (\S+\.out) <<'EOF'\n(.*?)\n\s*EOF\n", text, re.S):
         commands[path] = textwrap.dedent(body) + "\n"
-    assert len(digests) == len(PINS) == 11
+    assert len(digests) == len(PINS) == 12
     assert sorted((commands[path], digest) for path, digest in digests.items()) == sorted(PINS)
 
 

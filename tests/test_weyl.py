@@ -153,13 +153,14 @@ def _list_engine(n, r, s):
 
 
 # the 32 shapes of the normal-order benchmark workload, then three with
-# wider l-coefficients than any of them
+# wider l-coefficients than any of them, then two with r - s >= 2 and
+# s >= 2 at larger n
 _LIST_ENGINE_SHAPES = (
     (1, 3, 1), (1, 5, 1), (2, 2, 2), (2, 4, 2), (3, 1, 1), (3, 3, 3), (3, 5, 5), (5, 2, 1),
     (4, 4, 3), (5, 3, 2), (5, 5, 2), (7, 2, 2), (5, 5, 4), (7, 3, 3), (9, 2, 2), (8, 3, 2),
     (10, 2, 2), (7, 5, 3), (8, 4, 4), (15, 2, 1), (8, 5, 5), (10, 4, 2), (9, 4, 4), (17, 2, 2),
     (11, 4, 2), (16, 5, 1), (10, 5, 3), (15, 3, 2), (20, 4, 1), (19, 2, 2), (16, 3, 2), (20, 5, 1),
-    (30, 5, 5), (40, 4, 3), (60, 2, 1),
+    (30, 5, 5), (40, 4, 3), (60, 2, 1), (30, 5, 2), (25, 6, 3),
 )
 
 
@@ -181,6 +182,19 @@ def test_trusted_build_is_a_validated_normal_form(n, r, s):
         assert i - j == n * (r - s)
         assert type(c) is LambdaPoly and c.coeffs
         assert all(type(v) is int for v in c.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(1, 6))
+def test_digit_width_bounds_the_l_minus_one_row(n, r, s):
+    # b from P(j) / j! is never narrower than the width the l = -1 row of
+    # the list engine needs, and at most 2 bits wider (P(j) / j! < e max e_j)
+    r, s = max(r, s), min(r, s)
+    at_minus_one = [sum(c * (-1) ** d for d, c in enumerate(lp.coeffs))
+                    for lp in _list_engine(n, r, s).terms.values()]
+    assert min(at_minus_one) > 0
+    need = max(at_minus_one).bit_length() + 1
+    assert need <= weyl._digit_width(n, r, s) <= need + 2
 
 
 def _digit_loop(v, b, n):
