@@ -188,11 +188,17 @@ class Family:
     basis: str = "falling"  # or "rising"
     check: Callable[..., None] = lambda *params: None
 
+    def factors_for(self, n: int, *params) -> list:
+        """The factor list for n and params; ValueError outside the domain."""
+        _require_at_least("n", n, self.least_n)
+        self.check(*params)
+        return self.factors(n, *params)
+
     def polynomial(self, n: int, *params) -> XPoly:
         """The generating polynomial: the factor list multiplied out in x,
         on int (x, l) lists, as an XPoly built once at the end."""
         p = [[1]]
-        for c, depth, d in self.factors(n, *params):
+        for c, depth, d in self.factors_for(n, *params):
             piece = [[1]]
             for a in range(c, c - depth, -1):
                 piece = _mul(piece, [[a], [1]])
@@ -226,9 +232,7 @@ def family_row(name: str, n: int, *params) -> BasisCoeffs:
     params (in the family's parameter order) over its basis, one entry per
     basis element up to the polynomial's degree."""
     family = FAMILIES[name]
-    _require_at_least("n", n, family.least_n)
-    family.check(*params)
-    coefficients = _expand_factors(family.factors(n, *params), family.basis == "falling")
+    coefficients = _expand_factors(family.factors_for(n, *params), family.basis == "falling")
     return BasisCoeffs(coefficients, family.basis)
 
 
@@ -243,9 +247,7 @@ def newton_row(name: str, n: int, *params, upto: int | None = None) -> list:
     Weyl engine (stirling-rs and lah rows), the series lab, bell's Dobinski
     series (stirling-rs) and test_family_polynomials_are_the_documented_products."""
     family = FAMILIES[name]
-    _require_at_least("n", n, family.least_n)
-    family.check(*params)
-    factors = family.factors(n, *params)
+    factors = family.factors_for(n, *params)
     sign = 1 if family.basis == "falling" else -1
     upto = sum(depth for _, depth, _ in factors) if upto is None else upto
     _require_at_least("upto", upto, 0)

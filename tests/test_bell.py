@@ -195,6 +195,12 @@ def test_gamma_series_requires_r_greater_than_s():
         gamma_formula_classical(1, 2, 2, TOL)
 
 
+@pytest.mark.parametrize("tol", [0, -1])
+def test_gamma_series_requires_a_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        gamma_formula_classical(2, 3, 1, tol)
+
+
 # -- the integer series kernel against the Fraction-per-term reference -------
 
 @settings(max_examples=80, deadline=None)

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling import bell, cli, serieslab, stirling, weyl
-from degenstirling.algebra import X, rational_str
+from degenstirling.algebra import X, XPoly, rational_str
+
+from .pins import PINS, ROW_PINS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -315,27 +317,7 @@ def test_verify_dobinski_suite(capsys):
     assert any(c["identity"].startswith("gamma-ratio") for c in doc["checks"])
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        ("table stirling2 --n 60",
-         "808a70db6875f593904c33850ec204b1d70a59eecea8db3694349a0e163f0a51"),
-        ("table stirling-rs --n 24 --r 3 --s 2",
-         "1cd6eced10b7d74a54350e6ca1f373e5c5aaf4d9feae9de9c2ff77794310b320"),
-        ("table stirling-rr --n 12 --r 3",
-         "e08966336e662b64a0d0a8efde6d976e3f26cd98c40f22509410911395e4fc85"),
-        ("table r-stirling --n 30 --r 3",
-         "40a0dfd4d2da1cb711c30800608bb758d327d5a3f465cba5b121a7fe66c7d074"),
-        ("table lah --n 30",
-         "a25d6f8992a53d9467c888703b2c2ca63054f90f0d6a6a4144b6e8af68102bd8"),
-        ("table lah-signed --n 30",
-         "ece6b587897ad4d71a721b12ff5686dc29a12133520d3dccdd3558aa9e53cbc7"),
-        ("table r-bell --n 20 --r 2 --format csv",
-         "097bffecfb633a9b164e6519809b7e4a39aff123947dc825a7edbd00acd45270"),
-        ("table bell-rs --n 16 --r 4 --s 3 --eval-lambda=-7/3",
-         "f69fa4f68380d5fc570b4166b34c86cd2c9c18459cf78ed3ff9dae8ffe38ec14"),
-    ],
-)
+@pytest.mark.parametrize("argv, digest", ROW_PINS)
 def test_large_rows_are_pinned(capsys, argv, digest):
     # the bytes of rows far past the sizes the worked examples cover
     code, out, err = run(capsys, argv.split())
@@ -349,9 +331,7 @@ def test_release_gate_output_is_pinned(capsys):
     code, out, err = run(capsys, ["verify", "--order", "6"])
     assert (code, err) == (0, "")
     assert len(json.loads(out)["checks"]) == 186
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "fd2a83357840f180d42e479a9a81da2daab5982fd983ac90715b6273ceda7f77"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(PINS)["verify --order 6"]
 
 
 def test_larger_verify_grid_is_pinned(capsys):
@@ -360,8 +340,7 @@ def test_larger_verify_grid_is_pinned(capsys):
     code, out, err = run(capsys, ["verify", "--max-n", "6", "--max-r", "4", "--max-s", "4"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "ade7a4e30fe0dcf9c0ea1134640cd8d106b7b3ed7466fc21090e639d8663c0b1"
-    )
+        dict(PINS)["verify --max-n 6 --max-r 4 --max-s 4"])
 
 
 def _failed_dobinski_checks(capsys) -> list:
@@ -498,6 +477,43 @@ def test_verify_egf_builds_each_power_once(monkeypatch):
     assert len(calls) == 10
     monkeypatch.undo()
     assert checks[:7] == [cli._egf_record(serieslab.stirling_egf_check(k, 6)) for k in range(7)]
+
+
+@pytest.mark.parametrize(
+    "name, bumped_at, first, side, failing",
+    [
+        ("stirling2_degenerate", lambda n, k: (n, k) == (4, 2), (4, 2),
+         lambda row: XPoly.constant(row / 24), ["stirling2-egf[k=2]"]),
+        ("r_bell_poly", lambda n, r: (n, r) == (3, 1), (3, 1),
+         lambda row: row, ["r-bell-egf[r=1]"]),
+        ("r_bell_poly", lambda n, r: r == 0, (0, 0),
+         lambda row: row, ["bell-egf", "r-bell-egf[r=0]"]),
+        ("bell_rs_poly", lambda n, r, s: (r, s) == (2, 2), (0, 2, 2),
+         lambda row: row, ["rr-egf[r=2]"]),
+    ],
+    ids=["stirling2-4-2", "r-bell-3-1", "r-bell-r0", "bell-rs-2-2"],
+)
+def test_verify_egf_fails_where_one_row_is_wrong(capsys, monkeypatch, name, bumped_at, first,
+                                                  side, failing):
+    # +1 on the row side of the series lab: exactly the checks that read the
+    # row fail, each naming the first n with both sides as printed
+    real = getattr(serieslab, name)
+
+    def bumped(*args):
+        row = real(*args)
+        return row + 1 if bumped_at(*args) else row
+
+    monkeypatch.setattr(serieslab, name, bumped)
+    code, out, err = run(capsys, ["verify", "--suite", "egf", "--order", "6"])
+    assert (code, err) == (1, "")
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert sorted(c["identity"] for c in failed) == failing
+    for check in failed:
+        assert check["first_mismatch"] == {
+            "n": first[0],
+            "expected": str(side(real(*first) + 1)),
+            "actual": str(side(real(*first))),
+        }
 
 
 def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeypatch):

@@ -1,5 +1,5 @@
 """Every pinned output byte, replayed in tier-1: the commands and digests of
-tests/pins.py, which the CI workflow also checks."""
+tests/pins.py.  The CI workflow checks the pins by running this suite."""
 
 import contextlib
 import hashlib
@@ -9,7 +9,6 @@ import re
 import shlex
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,17 +41,13 @@ def test_pinned_output(command, digest):
 
 
 def test_the_workflow_checks_the_same_pins():
-    # each output file the workflow writes, by the command that writes it,
-    # against the digest it checks that file with
+    # CI checks every pin by running the whole tier-1 suite, which replays
+    # them; a digest written out in the workflow would be a second copy
     text = WORKFLOW.read_text()
-    digests = {path: digest for digest, path in re.findall(
-        r'echo "([0-9a-f]{64})  (\S+)" \| sha256sum --check', text)}
-    commands = {path: command for command, path in re.findall(
-        r"(?:degenstirling|python -O -m degenstirling\.cli) (.+?) > (\S+\.out)", text)}
-    for path, body in re.findall(r"python - > (\S+\.out) <<'EOF'\n(.*?)\n\s*EOF\n", text, re.S):
-        commands[path] = textwrap.dedent(body) + "\n"
-    assert len(digests) == len(PINS) == 12
-    assert sorted((commands[path], digest) for path, digest in digests.items()) == sorted(PINS)
+    assert not re.search(r"[0-9a-fA-F]{64}", text)
+    tier_1 = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q"
+              " --continue-on-collection-errors")
+    assert f"\n        run: {tier_1}\n" in text
 
 
 def test_release_gate_pin_holds_without_asserts():

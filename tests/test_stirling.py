@@ -217,6 +217,31 @@ def test_newton_row_validates_upto():
     assert newton_row("lah", 2, upto=0) == [LambdaPoly([0, -1])]  # P(0) = (0 - l)(0 + 1)
 
 
+# for each family an n below least_n, and a parameter out of range where it has one
+_OUT_OF_DOMAIN = [
+    ("stirling2", (-1,)), ("stirling-rs", (0, 2, 1)), ("stirling-rs", (2, 1, 2)),
+    ("stirling-rr", (0, 2)), ("stirling-rr", (2, 0)), ("r-stirling", (-1, 2)),
+    ("r-stirling", (2, -1)), ("lah", (-1,)), ("lah-signed", (-1,)),
+]
+
+
+@pytest.mark.parametrize("name, args", _OUT_OF_DOMAIN,
+                         ids=["-".join(map(str, (name, *args))) for name, args in _OUT_OF_DOMAIN])
+def test_every_route_rejects_a_request_outside_the_domain_alike(name, args):
+    # the kernel, the Newton row and the generating polynomial share one check
+    routes = (family_row, newton_row, lambda name, *a: stirling.FAMILIES[name].polynomial(*a))
+    messages = set()
+    for route in routes:
+        with pytest.raises(ValueError) as excinfo:
+            route(name, *args)
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1, messages
+
+
+def test_every_family_has_an_out_of_domain_request():
+    assert sorted({name for name, *_ in _OUT_OF_DOMAIN}) == sorted(stirling.FAMILIES)
+
+
 # each family's parameters, drawn inside its domain
 rs_params = st.integers(1, 4).flatmap(lambda r: st.tuples(st.just(r), st.integers(1, r)))
 _DOMAINS = {

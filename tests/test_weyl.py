@@ -33,6 +33,16 @@ def test_two_by_two_contraction():
     assert left * right == NormalForm({(2, 2): 1, (1, 1): 4, (0, 0): 2})
 
 
+def test_sum_difference_scalar_multiple_and_repr():
+    # (a + a+)^2 = (a+)^2 + 2 a+ a + a^2 + 1
+    field = NormalForm.ladder(0, 1) + NormalForm.ladder(1, 0)
+    nf = field * field
+    assert nf == NormalForm({(2, 0): 1, (1, 1): 2, (0, 2): 1, (0, 0): 1})
+    assert (nf - nf).is_zero() and not nf.is_zero()
+    assert 2 * nf == nf * 2 == nf + nf
+    assert repr(nf) == "NormalForm({(2,0): 1, (1,1): 2, (0,2): 1, (0,0): 1})"
+
+
 def test_invalid_powers_rejected():
     with pytest.raises(ValueError):
         NormalForm({(-1, 0): 1})
