@@ -8,20 +8,26 @@ rational serialised as "p/q"; re-serialising parsed output reproduces the
 bytes exactly.
 
 `main` builds only the parser of the command it is given, not all four,
-and keeps none between calls.  A parser takes only 5-9 KB, but the garbage
-of one per call brings full collections sooner; a process that re-imports
-the package, as the benchmark's set-up does, frees each stale copy of it
-only at a full collection, so held parsers raised its peak memory.
+and keeps none between calls.  Each parser asks the terminal for its width
+once and gives that width to every help formatter argparse builds, which
+otherwise asks again on each add_argument.  Parsers are still built per
+call: a parser takes only 5-9 KB, but the garbage of one per call brings
+full collections sooner; a process that re-imports the package, as the
+benchmark's set-up does, frees each stale copy of it only at a full
+collection, so held parsers, or no parser at all for a valid request,
+raised its peak memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import re
+import shutil
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -273,30 +279,34 @@ def _suite_recurrence(max_n: int, max_r: int) -> list:
     return checks
 
 
-_LAM_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
-_X_GRID = (Fraction(1, 2), Fraction(1), Fraction(2))
+# the (x, l) points at which the dobinski suite sums each series
+_GRID = tuple((xv, lam) for lam in (Fraction(0), Fraction(1, 2), Fraction(1))
+              for xv in (Fraction(1, 2), Fraction(1), Fraction(2)))
 
 
 def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
     checks = []
-    sums = {}  # each series once: at s = r both checks read dobinski_rr's sum
+    # each series once: at s = r both checks read dobinski_rr's sum; keyed by
+    # grid position, as hashing a Fraction takes a modular inverse each time
+    sums = {}
 
-    def series(n, r, s, xv, lam):
-        if (n, r, s, xv, lam) not in sums:
-            sums[n, r, s, xv, lam] = (bell.dobinski_rr(n, r, xv, lam, tol) if s == r
-                                      else bell.dobinski_eval(n, r, s, xv, lam, tol))
-        return sums[n, r, s, xv, lam]
+    def series(n, r, s, cell):
+        key = n, r, s, cell
+        if key not in sums:
+            xv, lam = _GRID[cell]
+            sums[key] = (bell.dobinski_rr(n, r, xv, lam, tol) if s == r
+                         else bell.dobinski_eval(n, r, s, xv, lam, tol))
+        return sums[key]
 
     def grid(n, r, s, rows, den):
         # the worst residual over the (x, l) grid, and whether every
         # tail_bound is within tol; each exact value is the row, cleared
         # once, evaluated in ints
         worst, tails_ok = Fraction(0), True
-        for lam in _LAM_GRID:
-            for xv in _X_GRID:
-                res = series(n, r, s, xv, lam)
-                worst = max(worst, abs(res.value - _evaluate(rows, den, xv, lam)))
-                tails_ok = tails_ok and res.tail_bound <= tol
+        for cell, (xv, lam) in enumerate(_GRID):
+            res = series(n, r, s, cell)
+            worst = max(worst, abs(res.value - _evaluate(rows, den, xv, lam)))
+            tails_ok = tails_ok and res.tail_bound <= tol
         return worst, tails_ok
 
     pairs = [(r, s) for r in range(1, max_r + 1) for s in range(1, min(r, max_s) + 1)]
@@ -343,6 +353,11 @@ def cmd_verify(args) -> int:
                                ("--max-s", args.max_s, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
+    # every suite refuses tol <= 0, not only the one that reads it; the
+    # message is built only when the check fails, as str() of a valid tol
+    # past Python's int-to-str digit limit would raise
+    if not args.tol > 0:
+        raise UsageError(f"tol must be positive, got {args.tol}")
     wanted = _SUITES if args.suite == "all" else (args.suite,)
     checks = [check for name in wanted for check in _SUITES[name](args)]
     if not checks:
@@ -357,6 +372,13 @@ def cmd_verify(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Reports a bad flag as one `error:` line, like every other usage error;
     the subparsers inherit this class."""
+
+    def __init__(self, **kwargs):
+        # the width the stock HelpFormatter computes, read once: argparse
+        # builds a formatter, which would read it again, on every add_argument
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+                         **kwargs)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -624,6 +625,15 @@ def test_verify_bound_below_its_least_value_is_a_usage_error(capsys, bounds):
     assert err.startswith("error: --max-") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "-1/2"])
+@pytest.mark.parametrize("suite", ["oracles", "egf", "recurrence", "dobinski", "all"])
+def test_verify_tol_not_positive_is_a_usage_error(capsys, suite, tol):
+    # only the dobinski suite reads --tol; the others used to exit 0 on it
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--order", "2", "--tol", tol])
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be positive, got {Fraction(tol)}\n"
+
+
 def test_verify_fails_loudly(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_suite_recurrence", lambda *a: [cli._check("forced", False)]
@@ -849,6 +859,46 @@ def test_each_command_parser_is_its_subparser(monkeypatch, columns):
     assert list(subparsers) == list(cli._COMMANDS)
     for name, subparser in subparsers.items():
         assert cli._command_parser(name).format_help() == subparser.format_help()
+
+
+@pytest.mark.parametrize("columns", ["50", "120"])
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_each_command_parser_formats_help_as_stock_argparse(monkeypatch, columns, name):
+    # the width the parser reads once must be the one argparse's own
+    # formatter reads at each call
+    monkeypatch.setenv("COLUMNS", columns)
+    stock = argparse.ArgumentParser(prog=f"degenstirling {name}")
+    cli._COMMANDS[name][1](stock)
+    parser = cli._command_parser(name)
+    assert parser.format_help() == stock.format_help()
+    assert parser.format_usage() == stock.format_usage()
+
+
+def _count_terminal_queries(monkeypatch) -> list:
+    # argparse's HelpFormatter imports shutil when it is built, so patching
+    # the module attribute counts its queries as well as the parser's
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_command_parser_asks_the_terminal_once(monkeypatch, name):
+    calls = _count_terminal_queries(monkeypatch)
+    cli._command_parser(name)
+    assert len(calls) == 1
+
+
+def test_the_full_parser_asks_the_terminal_once_per_parser(monkeypatch):
+    calls = _count_terminal_queries(monkeypatch)
+    parser = cli.build_parser()
+    assert 1 <= len(calls) <= 1 + len(_subparsers(parser))
 
 
 def _outcome(call, argv) -> tuple:
