@@ -64,7 +64,8 @@ def rational_str(q: Fraction) -> str:
 
 
 def _pretty_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """rational_str without the denominator 1: "3", "-1/2"."""
+    return rational_str(q).removesuffix("/1")
 
 
 def _require(cond: bool, msg: str):
@@ -75,6 +76,14 @@ def _require(cond: bool, msg: str):
 
 def _require_at_least(name: str, value, least: int):
     _require(isinstance(value, int) and value >= least, f"{name} must be >= {least}, got {value!r}")
+
+
+def _require_positive(name: str, value: Fraction):
+    """ValueError unless value > 0.  The message is built only when the
+    check fails, and exactly at any size: str() of a rational past the
+    interpreter's int-to-str digit limit would raise."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {_pretty_rational(value)}")
 
 
 def _require_rs(r, s):

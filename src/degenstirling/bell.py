@@ -43,6 +43,7 @@ from .algebra import (
     _mul,
     _require,
     _require_at_least,
+    _require_positive,
     _require_rs,
     as_rational,
 )
@@ -159,8 +160,10 @@ def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction)
                                    * ((k)_depth + drift)/((k)_depth - drift) ]^factor_count,
 
     which is decreasing in k.  k0 is the first k >= k1 where this majorant is
-    at most 1/2.  With x = a/b, drift = d/e and g = (k)_depth the test is, all
-    denominators cleared,
+    at most 1/2; (k)_depth never decreases for k >= depth, so every k >= k1
+    passes the first test, and k0 is the first k >= depth that passes both.
+    With x = a/b, drift = d/e and g = (k)_depth the tests are, all
+    denominators cleared, g e >= 2 d and
 
       2 a ((k+1)(g e + d))^factor_count <= b (k+1) ((k+1-depth)(g e - d))^factor_count.
 
@@ -169,15 +172,11 @@ def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction)
     """
     a, b = abs(x.numerator), x.denominator
     d, e = drift.numerator, drift.denominator
-    k = depth
-    while perm(k, depth) * e < 2 * d:
-        k += 1
-    while True:
+    for k in count(depth):
         g = perm(k, depth) * e
-        if 2 * a * ((k + 1) * (g + d)) ** factor_count \
+        if g >= 2 * d and 2 * a * ((k + 1) * (g + d)) ** factor_count \
                 <= b * (k + 1) * ((k + 1 - depth) * (g - d)) ** factor_count:
             return k
-        k += 1
 
 
 def _combine_with_exp(num: int, tail: int, den: int, used: int,
@@ -246,12 +245,8 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     x = as_rational(x)
     lam = as_rational(lam)
     tol = as_rational(tol)
-    # each message is built only when its check fails: str() of a valid x or
-    # tol past Python's int-to-str digit limit would raise
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_positive("x", x)
+    _require_positive("tol", tol)
     return _dobinski_series(n, r, s, x, lam, tol, _factored_start(x, n, s, n * abs(lam)))
 
 
@@ -286,8 +281,7 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
         f"need integers r > s >= 1, got r={r!r}, s={s!r}",
     )
     tol = as_rational(tol)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _require_positive("tol", tol)
 
     # for k >= s all q_kl are positive and each rising-factorial ratio is at
     # most (1 + 1/(k-s+1))^n, giving the decreasing majorant

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import bell, serieslab, stirling, weyl
-from .algebra import LambdaPoly, XPoly, _cleared, _evaluate, rational_str
+from .algebra import LambdaPoly, XPoly, _cleared, _evaluate, _require_positive, rational_str
 
 __all__ = ["main", "entry", "canonical_json"]
 
@@ -353,11 +353,8 @@ def cmd_verify(args) -> int:
                                ("--max-s", args.max_s, 1)):
         if value < least:
             raise UsageError(f"{flag} must be >= {least}, got {value}")
-    # every suite refuses tol <= 0, not only the one that reads it; the
-    # message is built only when the check fails, as str() of a valid tol
-    # past Python's int-to-str digit limit would raise
-    if not args.tol > 0:
-        raise UsageError(f"tol must be positive, got {args.tol}")
+    # every suite refuses tol <= 0, not only the one that reads it
+    _require_positive("tol", args.tol)
     wanted = _SUITES if args.suite == "all" else (args.suite,)
     checks = [check for name in wanted for check in _SUITES[name](args)]
     if not checks:

@@ -30,7 +30,7 @@ from itertools import accumulate, count, repeat
 from math import comb, factorial, perm, prod
 from operator import add, floordiv, lshift, mul
 
-from .algebra import LambdaPoly, _require, _require_rs
+from .algebra import LambdaPoly, _require, _require_at_least, _require_rs
 
 __all__ = [
     "NormalForm",
@@ -86,15 +86,8 @@ class NormalForm:
             return NotImplemented
         out = dict(self._terms)
         for key, c in other._terms.items():
-            acc = out.get(key)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        nf = NormalForm()
-        nf._terms = out
-        return nf
+            out[key] = out[key] + c if key in out else c
+        return NormalForm(out)
 
     def __sub__(self, other):
         if not isinstance(other, NormalForm):
@@ -110,14 +103,8 @@ class NormalForm:
                     for m in range(min(j, i2) + 1):
                         w = factorial(m) * comb(j, m) * comb(i2, m)
                         key = (i + i2 - m, j + j2 - m)
-                        acc = out.get(key, LambdaPoly.zero()) + w * cd
-                        if acc.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = acc
-            nf = NormalForm()
-            nf._terms = out
-            return nf
+                        out[key] = out.get(key, LambdaPoly.zero()) + w * cd
+            return NormalForm(out)
         lp = LambdaPoly._coerce(other)
         if lp is None:
             return NotImplemented
@@ -155,7 +142,7 @@ def diagonal_row(n: int, r: int, s: int) -> list:
     and a^s prepends s zeros.  Each entry is one int, its polynomial at
     l = 2^b (b from _digit_width): a commutation is one pass of big-int
     multiply-adds, l a shift, and _unpack reads n signed b-bit digits back."""
-    _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
+    _require_at_least("n", n, 1)
     _require_rs(r, s)
     b = _digit_width(n, r, s)
     row = [1]
@@ -221,7 +208,7 @@ def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:
     is supported on the diagonal (n(r-s) + k, k).  Any term off that
     diagonal means the engine produced something structurally wrong, so it
     raises rather than returning a best effort."""
-    _require(isinstance(n, int) and n >= 1, f"n must be a positive integer, got {n!r}")
+    _require_at_least("n", n, 1)
     _require_rs(r, s)
     shift = n * (r - s)
     top = n * s

@@ -51,6 +51,27 @@ def test_rational_str_is_exact_past_the_int_digit_limit():
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
+def test_polynomial_text_is_exact_past_the_int_digit_limit(int_digit_limit):
+    big = 10 ** 700 + 1
+    lp = LambdaPoly([Fraction(-big, 3), big])
+    xp = XPoly([1, lp])
+    int_digit_limit(0)
+    lifted = str(lp), str(xp)
+    assert lifted[0] == f"-{big}/3 + {big}*l"
+    int_digit_limit(640)
+    assert (str(lp), str(xp)) == lifted
+
+
+def test_x_polynomial_text_skips_zero_coefficients():
+    assert str(XPoly.zero()) == "0"
+    assert str(X * X + 1) == "1*x^2 + 1"
+
+
+def test_negative_exponent_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        LAMBDA ** -1
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         LambdaPoly([0.5])

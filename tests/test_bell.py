@@ -19,7 +19,12 @@ from degenstirling.bell import (
 )
 from degenstirling.stirling import stirling_rs_degenerate
 
-from .oracles import dobinski_reference, dobinski_rr_reference, gamma_reference
+from .oracles import (
+    _factored_ratio_bound,
+    dobinski_reference,
+    dobinski_rr_reference,
+    gamma_reference,
+)
 
 TOL = Fraction(1, 10 ** 12)
 
@@ -199,6 +204,26 @@ def test_gamma_series_requires_r_greater_than_s():
 def test_gamma_series_requires_a_positive_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be positive"):
         gamma_formula_classical(2, 3, 1, tol)
+
+
+def test_gamma_series_names_a_tolerance_past_the_int_digit_limit():
+    with pytest.raises(ValueError, match="^tol must be positive, got -10{5000}$"):
+        gamma_formula_classical(2, 3, 1, -10 ** 5000)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7),
+                               Fraction(40, 3)])
+def test_factored_start_is_the_first_index_of_the_fraction_majorant(x):
+    # the reference's k1 is the first k >= depth with (k)_depth >= 2 drift;
+    # from it, the first k where its Fraction majorant is <= 1/2
+    for factors in range(6):
+        for depth in range(1, 5):
+            for drift in (Fraction(0), Fraction(1, 2), Fraction(3), Fraction(250, 7),
+                          Fraction(10 ** 4, 7)):
+                k, rho = _factored_ratio_bound(x, factors, depth, drift)
+                while rho(k) > Fraction(1, 2):
+                    k += 1
+                assert bell._factored_start(x, factors, depth, drift) == k
 
 
 # -- the integer series kernel against the Fraction-per-term reference -------

@@ -271,6 +271,31 @@ def test_a_rational_past_the_int_parse_limit_names_the_limit(capsys):
     assert "0" * 100 not in captured.err
 
 
+def test_csv_cells_are_exact_past_the_int_digit_limit(capsys, int_digit_limit):
+    # the row's largest coefficient has 884 digits
+    argv = ["table", "stirling-rr", "--n", "2", "--r", "400", "--format", "csv"]
+    int_digit_limit(0)
+    lifted = run(capsys, argv)
+    assert lifted[0] == 0 and len(lifted[1]) > 884
+    int_digit_limit(640)
+    assert run(capsys, argv) == lifted
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("dobinski --n 1 --r 1 --s 1 --x=-1e5000 --lambda 0", "x"),
+    ("dobinski --n 1 --r 1 --s 1 --x 1 --lambda 0 --tol=-1e5000", "tol"),
+    ("verify --suite oracles --tol=-1e5000", "tol"),
+])
+def test_a_bad_value_past_the_int_digit_limit_is_named(capsys, argv, name):
+    assert run(capsys, argv.split()) == (
+        2, "", f"error: {name} must be positive, got -1{'0' * 5000}\n")
+
+
+def test_normal_order_n_below_one_is_a_usage_error(capsys):
+    argv = ["normal-order", "--n", "0", "--r", "1", "--s", "1"]
+    assert run(capsys, argv) == (2, "", "error: n must be >= 1, got 0\n")
+
+
 def test_dobinski_domain_error(capsys):
     code, _, err = run(
         capsys,

@@ -56,6 +56,30 @@ def test_zero_coefficients_dropped():
     assert nf.coefficient(1, 1) == 0
 
 
+def test_product_drops_cancelled_terms():
+    # (a + a+)(a - a+) = a^2 - (a+ a + 1) + a+ a - (a+)^2: the a+ a terms cancel
+    a, cdag = NormalForm.ladder(0, 1), NormalForm.ladder(1, 0)
+    assert ((a + cdag) * (a - cdag)).terms == {(0, 2): 1, (2, 0): -1, (0, 0): -1}
+
+
+def test_other_operands_are_not_implemented():
+    nf = NormalForm.ladder(1, 1)
+    for op in (lambda: nf + 1, lambda: nf - 1, lambda: nf * "x", lambda: "x" * nf):
+        with pytest.raises(TypeError):
+            op()
+    assert (nf == 1) is False
+
+
+def test_normal_form_text_is_exact_past_the_int_digit_limit(int_digit_limit):
+    big = 10 ** 700 + 1
+    nf = NormalForm({(2, 1): big, (0, 0): big * LAMBDA - 1})
+    int_digit_limit(0)
+    lifted = str(nf)
+    assert lifted == f"NormalForm({{(2,1): {big}, (0,0): -1 + {big}*l}})"
+    int_digit_limit(640)
+    assert str(nf) == lifted
+
+
 words = st.lists(st.sampled_from(["c", "a"]), min_size=0, max_size=8).map(tuple)
 
 
@@ -269,6 +293,13 @@ def test_degenerate_product_validates_arguments():
         degenerate_product(1, 1, 2)
     with pytest.raises(ValueError):
         degenerate_product(1, 1, 0)
+
+
+def test_n_below_one_gives_the_shared_message():
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        degenerate_product(0, 1, 1)
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+        extract_stirling(NormalForm.identity(), 0, 1, 1)
 
 
 def test_extract_stirling_worked_row():
