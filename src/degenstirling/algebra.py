@@ -68,29 +68,28 @@ def _pretty_rational(q: Fraction) -> str:
     return rational_str(q).removesuffix("/1")
 
 
-def _require(cond: bool, msg: str):
-    """The package's argument check: ValueError(msg) unless cond holds."""
-    if not cond:
-        raise ValueError(msg)
+# The argument checks raise ValueError and build their message only when the
+# check fails, naming the value exactly at any size: str() of an int past the
+# interpreter's int-to-str digit limit would raise instead.
+
+def _got(value) -> str:
+    """An int as its digits at any size; anything else (a bool too) as its repr."""
+    return _pretty_rational(value) if type(value) is int else repr(value)
 
 
 def _require_at_least(name: str, value, least: int):
-    _require(isinstance(value, int) and value >= least, f"{name} must be >= {least}, got {value!r}")
+    if not (isinstance(value, int) and value >= least):
+        raise ValueError(f"{name} must be >= {least}, got {_got(value)}")
 
 
 def _require_positive(name: str, value: Fraction):
-    """ValueError unless value > 0.  The message is built only when the
-    check fails, and exactly at any size: str() of a rational past the
-    interpreter's int-to-str digit limit would raise."""
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {_pretty_rational(value)}")
 
 
 def _require_rs(r, s):
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r >= s >= 1,
-        f"need integers r >= s >= 1, got r={r!r}, s={s!r}",
-    )
+    if not (isinstance(r, int) and isinstance(s, int) and r >= s >= 1):
+        raise ValueError(f"need integers r >= s >= 1, got r={_got(r)}, s={_got(s)}")
 
 
 def falling_scalar(a, k: int):
@@ -375,7 +374,8 @@ def _convolve(a: list, b: list, n: int) -> list:
 
 def _degenerate_exp(base: list, order: int) -> list:
     """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} (b - (n-1) l)."""
-    _require(isinstance(order, int) and order >= 0, "order must be a nonnegative integer")
+    if not (isinstance(order, int) and order >= 0):
+        raise ValueError("order must be a nonnegative integer")
     out = [[[1]]]
     for n in range(1, order + 1):
         out.append(_mul(out[-1], _add(base, [[0, 1 - n]])))

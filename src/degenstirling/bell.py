@@ -41,13 +41,13 @@ from .algebra import (
     _degenerate_exp,
     _lambda_polys,
     _mul,
-    _require,
+    _got,
     _require_at_least,
     _require_positive,
     _require_rs,
     as_rational,
 )
-from .stirling import family_row
+from . import stirling
 
 __all__ = [
     "DobinskiResult",
@@ -66,13 +66,13 @@ def bell_rs_poly(n: int, r: int, s: int) -> XPoly:
     _require_rs(r, s)
     if n == 0:
         return XPoly.one()
-    return XPoly(family_row("stirling-rs", n, r, s).coefficients)
+    return XPoly(stirling.family_row("stirling-rs", n, r, s).coefficients)
 
 
 def r_bell_poly(n: int, r: int) -> XPoly:
     """Degenerate shifted Bell polynomial: sum_k c_k x^k where c_k is the
     coefficient of (x)_k in (x+r)_{n,l}."""
-    return XPoly(family_row("r-stirling", n, r).coefficients)
+    return XPoly(stirling.family_row("r-stirling", n, r).coefficients)
 
 
 def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
@@ -276,10 +276,8 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     dobinski_eval's coefficient at l = 0: this is the Dobinski series at
     (x, l) = (1, 0), summed by the same code from its own start index."""
     _require_at_least("n", n, 1)
-    _require(
-        isinstance(r, int) and isinstance(s, int) and r > s >= 1,
-        f"need integers r > s >= 1, got r={r!r}, s={s!r}",
-    )
+    if not (isinstance(r, int) and isinstance(s, int) and r > s >= 1):
+        raise ValueError(f"need integers r > s >= 1, got r={_got(r)}, s={_got(s)}")
     tol = as_rational(tol)
     _require_positive("tol", tol)
 

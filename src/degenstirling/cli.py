@@ -21,9 +21,7 @@ raised its peak memory.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import re
@@ -33,7 +31,9 @@ from fractions import Fraction
 from itertools import islice
 
 from . import bell, serieslab, stirling, weyl
-from .algebra import LambdaPoly, XPoly, _cleared, _evaluate, _require_positive, rational_str
+from .algebra import (
+    LambdaPoly, XPoly, _cleared, _evaluate, _require_at_least, _require_positive, rational_str,
+)
 
 __all__ = ["main", "entry", "canonical_json"]
 
@@ -109,16 +109,14 @@ def cmd_table(args) -> int:
         cells = stirling.family_row(base, args.n, *params).coefficients
     else:
         cells = bell_poly(args.n, *params).coeffs
-    rows = list(enumerate(cells))
-    if args.eval_lam is not None:
-        rows = [(k, c(args.eval_lam)) for k, c in rows]
+    if args.eval_lam is None:
+        csv_cell, json_cell = str, _poly_cells
+    else:
+        csv_cell = json_cell = lambda c: rational_str(c(args.eval_lam))
 
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        for k, c in rows:
-            writer.writerow([k, str(c) if isinstance(c, LambdaPoly) else rational_str(c)])
-        sys.stdout.write(out.getvalue())
+        # what csv.QUOTE_NONNUMERIC writes: no cell holds a quote, a comma or a line break
+        sys.stdout.write("".join(f'{k},"{csv_cell(c)}"\n' for k, c in enumerate(cells)))
         return 0
 
     doc = {"family": args.family, "n": args.n}
@@ -126,9 +124,7 @@ def cmd_table(args) -> int:
         doc[name] = getattr(args, name)
     if args.eval_lam is not None:
         doc["lambda"] = rational_str(args.eval_lam)
-        doc["rows"] = [{"k": k, "coeff": rational_str(c)} for k, c in rows]
-    else:
-        doc["rows"] = [{"k": k, "coeff": _poly_cells(c)} for k, c in rows]
+    doc["rows"] = [{"k": k, "coeff": json_cell(c)} for k, c in enumerate(cells)]
     print(canonical_json(doc))
     return 0
 
@@ -349,10 +345,9 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     # a bound below its least value would silently drop checks
-    for flag, value, least in (("--max-n", args.max_n, 0), ("--max-r", args.max_r, 0),
-                               ("--max-s", args.max_s, 1)):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
+    _require_at_least("--max-n", args.max_n, 0)
+    _require_at_least("--max-r", args.max_r, 0)
+    _require_at_least("--max-s", args.max_s, 1)
     # every suite refuses tol <= 0, not only the one that reads it
     _require_positive("tol", args.tol)
     wanted = _SUITES if args.suite == "all" else (args.suite,)

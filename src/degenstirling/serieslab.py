@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate, islice, repeat
 from math import factorial
-from typing import Optional
 
 from .algebra import (
     XPoly,
@@ -24,7 +23,7 @@ from .algebra import (
     _convolve,
     _degenerate_exp,
     _lambda_polys,
-    _require,
+    _got,
     _require_at_least,
 )
 from .bell import bell_rs_poly, r_bell_poly
@@ -52,7 +51,7 @@ class CheckReport:
     identity: str
     order: int
     passed: bool
-    first_mismatch: Optional[Mismatch]
+    first_mismatch: Mismatch | None
 
     def __bool__(self) -> bool:
         return self.passed
@@ -98,7 +97,8 @@ def _stirling_egf_report(k: int, pw: list, order: int) -> CheckReport:
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
-    _require(isinstance(k, int) and 0 <= k <= order, f"need 0 <= k <= order, got {k!r}")
+    if not (isinstance(k, int) and 0 <= k <= order):
+        raise ValueError(f"need 0 <= k <= order, got {_got(k)}")
     return _stirling_egf_report(k, next(islice(_egf_powers(order), k, None)), order)
 
 

@@ -31,10 +31,10 @@ by evaluating at l = 0.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from .algebra import (
     LambdaPoly,

@@ -30,7 +30,7 @@ from itertools import accumulate, count, repeat
 from math import comb, factorial, perm, prod
 from operator import add, floordiv, lshift, mul
 
-from .algebra import LambdaPoly, _require, _require_at_least, _require_rs
+from .algebra import LambdaPoly, _require_at_least, _require_rs
 
 __all__ = [
     "NormalForm",
@@ -51,10 +51,8 @@ class NormalForm:
         cleaned = {}
         for key, coeff in (terms or {}).items():
             i, j = key
-            _require(
-                isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0,
-                f"operator powers must be nonnegative integers, got {key!r}",
-            )
+            if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
+                raise ValueError(f"operator powers must be nonnegative integers, got {key!r}")
             lp = LambdaPoly._coerce(coeff)
             if lp is None:
                 raise TypeError(f"cannot use {coeff!r} as a coefficient")
@@ -197,10 +195,7 @@ def degenerate_product(n: int, r: int, s: int) -> NormalForm:
     nonzero entry j of diagonal_row as the term (a+)^(n(r-s)+j) a^j."""
     row = diagonal_row(n, r, s)
     shift = n * (r - s)
-    # distinct diagonal keys and nonzero int polynomials: nothing to re-validate
-    nf = NormalForm()
-    nf._terms = {(shift + j, j): LambdaPoly(c) for j, c in enumerate(row) if c}
-    return nf
+    return NormalForm({(shift + j, j): LambdaPoly(c) for j, c in enumerate(row)})
 
 
 def extract_stirling(nf: NormalForm, n: int, r: int, s: int) -> list:

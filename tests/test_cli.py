@@ -743,6 +743,33 @@ def test_verify_compares_the_factor_kernel_row(capsys, monkeypatch):
     }
 
 
+def test_verify_sees_a_wrong_r_stirling_row_through_every_reader(capsys, monkeypatch):
+    # bell reads the row through the stirling module, so a row patched there
+    # reaches the shifted Bell checks too; with a binding of its own, bell
+    # kept the true row and this wrong one passed the release gate
+    real = stirling.family_row
+
+    def bumped(name, n, *params):
+        row = real(name, n, *params)
+        if name == "r-stirling" and n == 3:
+            cells = list(row.coefficients)
+            cells[1] = cells[1] + 1
+            row = stirling.BasisCoeffs(tuple(cells), row.basis)
+        return row
+
+    monkeypatch.setattr(stirling, "family_row", bumped)
+    code, out, err = run(capsys, ["verify", "--order", "6"])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--max-n", "-1", 0), ("--max-r", "-3", 0), ("--max-s", "0", 1)])
+def test_verify_bound_error_names_the_flag_and_value(capsys, flag, value, least):
+    assert run(capsys, ["verify", flag, value]) == (
+        2, "", f"error: {flag} must be >= {least}, got {value}\n")
+
+
 def _main(argv) -> tuple:
     # capsys is function-scoped, which Hypothesis does not reset per example
     out, err = io.StringIO(), io.StringIO()

@@ -207,9 +207,9 @@ def test_packed_engine_matches_the_list_engine(n, r, s):
 
 @pytest.mark.parametrize("n, r, s", _LIST_ENGINE_SHAPES[:32] + ((20, 5, 5),))
 def test_trusted_build_is_a_validated_normal_form(n, r, s):
-    # degenerate_product hands its terms to NormalForm unchecked: building
-    # the same terms through the checks changes nothing, the keys lie on the
-    # diagonal, and every coefficient is a nonzero polynomial of ints
+    # rebuilding degenerate_product's terms through NormalForm changes
+    # nothing, the keys lie on the diagonal, and every coefficient is a
+    # nonzero polynomial of ints
     nf = degenerate_product(n, r, s)
     assert nf == NormalForm(nf.terms) and hash(nf) == hash(NormalForm(nf.terms))
     for (i, j), c in nf.terms.items():
