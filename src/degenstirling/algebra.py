@@ -73,7 +73,10 @@ def _pretty_rational(q: Fraction) -> str:
 # interpreter's int-to-str digit limit would raise instead.
 
 def _got(value) -> str:
-    """An int as its digits at any size; anything else (a bool too) as its repr."""
+    """An int as its digits at any size, a tuple entry by entry; anything else
+    (a bool too) as its repr."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_got, value))}{',' * (len(value) == 1)})"
     return _pretty_rational(value) if type(value) is int else repr(value)
 
 
@@ -251,7 +254,10 @@ class LambdaPoly(Poly):
         return Fraction(super().__call__(value))
 
     def __repr__(self):
-        return f"LambdaPoly({list(self._coeffs)!r})"
+        # _got writes the exact digits where repr() would stop at the digit limit
+        cs = (f"Fraction({_got(c.numerator)}, {_got(c.denominator)})" if type(c) is Fraction
+              else _got(c) for c in self._coeffs)
+        return f"LambdaPoly([{', '.join(cs)}])"
 
     def __str__(self):
         if not self._coeffs:

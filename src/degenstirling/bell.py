@@ -28,7 +28,7 @@ registry list fails verify's dobinski-series checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count
 from math import perm
@@ -97,17 +97,14 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
     return XPoly(_lambda_polys(form_a)), XPoly(_lambda_polys(form_b))
 
 
-@dataclass(frozen=True)
-class DobinskiResult:
+class DobinskiResult(namedtuple("DobinskiResult", "value terms_used tail_bound")):
     """Truncated series value with a certified error bound.
 
     tail_bound rigorously dominates |value - infinite sum| and is at most
     the requested tolerance; terms_used counts main-series terms summed.
     """
 
-    value: Fraction
-    terms_used: int
-    tail_bound: Fraction
+    __slots__ = ()
 
 
 def _sum_series(coeff, p: int, q: int, scale: int, k0: int,

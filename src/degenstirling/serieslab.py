@@ -13,7 +13,7 @@ tower of tests/series_tower.py, and compare the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import accumulate, islice, repeat
 from math import factorial
 
@@ -39,19 +39,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    n: int
-    expected: object
-    actual: object
+class Mismatch(namedtuple("Mismatch", "n expected actual")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    identity: str
-    order: int
-    passed: bool
-    first_mismatch: Mismatch | None
+class CheckReport(namedtuple("CheckReport", "identity order passed first_mismatch")):
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -106,7 +99,7 @@ def bell_egf_check(order: int = 10) -> CheckReport:
     """n! times the t^n coefficient of exp(x (e_l(t) - 1)) against the
     degenerate Bell polynomial: the r = 0 case of r_bell_egf_check, since
     e_l^0(t) is the series 1."""
-    return replace(r_bell_egf_check(0, order), identity="bell-egf")
+    return r_bell_egf_check(0, order)._replace(identity="bell-egf")
 
 
 def r_bell_egf_check(r: int, order: int = 10) -> CheckReport:

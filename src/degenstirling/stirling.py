@@ -31,8 +31,7 @@ by evaluating at l = 0.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -83,16 +82,15 @@ def falling_basis_poly(k: int) -> XPoly:
     return p
 
 
-@dataclass(frozen=True)
-class BasisCoeffs:
+# basis: "falling" | "rising"
+class BasisCoeffs(namedtuple("BasisCoeffs", "coefficients basis")):
     """Coefficients of a polynomial in the falling or rising factorial basis.
 
     The tuple has exactly degree+1 entries (empty for the zero polynomial);
     each entry is a LambdaPoly.
     """
 
-    coefficients: tuple
-    basis: str  # "falling" | "rising"
+    __slots__ = ()
 
     def coefficient(self, k: int) -> LambdaPoly:
         cs = self.coefficients
@@ -176,17 +174,15 @@ def _expand_factors(factors, falling: bool) -> tuple:
     return tuple(LambdaPoly(coeffs) for coeffs in row)
 
 
-@dataclass(frozen=True)
-class Family:
+# params: parameter names, in call order; factors: (n, *params) -> [(c, depth, d), ...];
+# basis: "falling" (the default) or "rising"
+class Family(namedtuple("Family", "params least_n factors basis check",
+                        defaults=("falling", lambda *params: None))):
     """One coefficient family: the row for n is the product of the factors
     (x + c)_depth - d l listed by factors(n, *params), expanded over basis;
     check raises ValueError outside the domain."""
 
-    params: tuple  # parameter names, in call order
-    least_n: int
-    factors: Callable[..., list]  # (n, *params) -> [(c, depth, d), ...]
-    basis: str = "falling"  # or "rising"
-    check: Callable[..., None] = lambda *params: None
+    __slots__ = ()
 
     def factors_for(self, n: int, *params) -> list:
         """The factor list for n and params; ValueError outside the domain."""

@@ -30,7 +30,7 @@ from itertools import accumulate, count, repeat
 from math import comb, factorial, perm, prod
 from operator import add, floordiv, lshift, mul
 
-from .algebra import LambdaPoly, _require_at_least, _require_rs
+from .algebra import LambdaPoly, _got, _require_at_least, _require_rs
 
 __all__ = [
     "NormalForm",
@@ -50,9 +50,9 @@ class NormalForm:
         """terms maps each (creation, annihilation) key to its coefficient."""
         cleaned = {}
         for key, coeff in (terms or {}).items():
-            i, j = key
+            i, j = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not (isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0):
-                raise ValueError(f"operator powers must be nonnegative integers, got {key!r}")
+                raise ValueError(f"operator powers must be nonnegative integers, got {_got(key)}")
             lp = LambdaPoly._coerce(coeff)
             if lp is None:
                 raise TypeError(f"cannot use {coeff!r} as a coefficient")

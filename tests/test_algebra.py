@@ -62,6 +62,18 @@ def test_polynomial_text_is_exact_past_the_int_digit_limit(int_digit_limit):
     assert (str(lp), str(xp)) == lifted
 
 
+def test_lambda_poly_repr_is_exact_past_the_int_digit_limit(int_digit_limit):
+    assert repr(LambdaPoly([])) == "LambdaPoly([])"
+    assert repr(LambdaPoly([1, Fraction(-1, 2), 0, -3])) == "LambdaPoly([1, Fraction(-1, 2), 0, -3])"
+    big = 10 ** 700 + 1
+    lp = LambdaPoly([-big, Fraction(big, 3), Fraction(2, big)])
+    int_digit_limit(0)
+    lifted = repr(lp)
+    assert lifted == f"LambdaPoly([-{big}, Fraction({big}, 3), Fraction(2, {big})])"
+    int_digit_limit(640)
+    assert repr(lp) == lifted
+
+
 def test_x_polynomial_text_skips_zero_coefficients():
     assert str(XPoly.zero()) == "0"
     assert str(X * X + 1) == "1*x^2 + 1"

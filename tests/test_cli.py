@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -552,8 +551,7 @@ def test_verify_sees_a_wrong_factor_list_through_the_weyl_engine(capsys, monkeyp
         (c, depth, d), *rest = family.factors(n, r, s)
         return [(c, depth, d + 1), *rest]
 
-    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs",
-                        dataclasses.replace(family, factors=factors))
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs", family._replace(factors=factors))
     stirling.family_row.cache_clear()
     try:
         code, out, err = run(capsys, ["verify", "--suite", "oracles"])
@@ -582,8 +580,7 @@ def test_verify_dobinski_sees_a_wrong_factor_list(capsys, monkeypatch):
         (c, depth, d), *rest = family.factors(n, r, s)
         return [(c, depth, d + 1), *rest]
 
-    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs",
-                        dataclasses.replace(family, factors=factors))
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rs", family._replace(factors=factors))
     stirling.family_row.cache_clear()
     try:
         code, out, err = run(capsys, ["verify", "--suite", "dobinski", "--order", "6"])
@@ -610,8 +607,7 @@ def test_verify_dobinski_sees_a_wrong_stirling_rr_factor_list(capsys, monkeypatc
         (c, depth, d), *rest = family.factors(n, r)
         return [(c, depth, d + 1), *rest]
 
-    monkeypatch.setitem(stirling.FAMILIES, "stirling-rr",
-                        dataclasses.replace(family, factors=factors))
+    monkeypatch.setitem(stirling.FAMILIES, "stirling-rr", family._replace(factors=factors))
     stirling.family_row.cache_clear()
     try:
         code, out, err = run(capsys, ["verify", "--suite", "dobinski", "--order", "6"])

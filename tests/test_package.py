@@ -3,7 +3,10 @@ an argument check formats its value only when it fails."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,16 @@ def test_family_row_is_the_only_cache():
     assert list(cached.values()) == [stirling.family_row]
 
 
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # every CLI process pays for the package's imports, and dataclasses,
+    # through inspect, was the largest single one
+    code = "import sys, degenstirling.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 def test_the_series_tower_is_not_in_the_package():
     # the Fraction series tower and the other test-only helpers live in
     # tests/series_tower.py; the package ships one series implementation
@@ -78,7 +91,9 @@ def test_a_valid_int_past_the_int_digit_limit_is_accepted():
     (lambda: bell.gamma_formula_classical(1, 1, HUGE, 1),
      f"need integers r > s >= 1, got r=1, s=1{'0' * 5000}"),
     (lambda: serieslab.stirling_egf_check(HUGE, 2), f"need 0 <= k <= order, got 1{'0' * 5000}"),
-], ids=["dobinski-n", "bell-s", "gamma-s", "egf-k"])
+    (lambda: weyl.NormalForm({(-HUGE, 0): 1}),
+     f"operator powers must be nonnegative integers, got (-1{'0' * 5000}, 0)"),
+], ids=["dobinski-n", "bell-s", "gamma-s", "egf-k", "normal-form-key"])
 def test_an_invalid_int_past_the_int_digit_limit_is_named_exactly(call, message):
     with pytest.raises(ValueError) as info:
         call()
@@ -91,7 +106,12 @@ def test_an_invalid_int_past_the_int_digit_limit_is_named_exactly(call, message)
     (lambda: stirling.stirling2_degenerate(2, 1.0), "k must be >= 0, got 1.0"),
     (lambda: bell.bell_rs_poly(1, "3", 2), "need integers r >= s >= 1, got r='3', s=2"),
     (lambda: bell.bell_rs_poly(1, 1, 2), "need integers r >= s >= 1, got r=1, s=2"),
-], ids=["int", "bool", "float", "str", "r-below-s"])
+    (lambda: weyl.NormalForm({5: 1}), "operator powers must be nonnegative integers, got 5"),
+    (lambda: weyl.NormalForm({(1, 2, 3): 1}),
+     "operator powers must be nonnegative integers, got (1, 2, 3)"),
+    (lambda: weyl.NormalForm({(1,): 1}), "operator powers must be nonnegative integers, got (1,)"),
+], ids=["int", "bool", "float", "str", "r-below-s", "key-not-a-pair", "key-of-three",
+        "key-of-one"])
 def test_a_value_below_the_int_digit_limit_is_named_by_its_repr(call, message):
     with pytest.raises(ValueError) as info:
         call()
