@@ -28,11 +28,12 @@ import re
 import shutil
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from . import bell, serieslab, stirling, weyl
 from .algebra import (
-    LambdaPoly, XPoly, _cleared, _evaluate, _require_at_least, _require_positive, rational_str,
+    LambdaPoly, XPoly, _cleared, _evaluate, _horner, _require_at_least, _require_positive,
+    rational_str,
 )
 
 __all__ = ["main", "entry", "canonical_json"]
@@ -276,8 +277,9 @@ def _suite_recurrence(max_n: int, max_r: int) -> list:
 
 
 # the (x, l) points at which the dobinski suite sums each series
-_GRID = tuple((xv, lam) for lam in (Fraction(0), Fraction(1, 2), Fraction(1))
-              for xv in (Fraction(1, 2), Fraction(1), Fraction(2)))
+_LAMS = (Fraction(0), Fraction(1, 2), Fraction(1))
+_XS = (Fraction(1, 2), Fraction(1), Fraction(2))
+_GRID = tuple((xv, lam) for lam in _LAMS for xv in _XS)
 
 
 def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
@@ -296,14 +298,21 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
 
     def grid(n, r, s, rows, den):
         # the worst residual over the (x, l) grid, and whether every
-        # tail_bound is within tol; each exact value is the row, cleared
-        # once, evaluated in ints
-        worst, tails_ok = Fraction(0), True
-        for cell, (xv, lam) in enumerate(_GRID):
-            res = series(n, r, s, cell)
-            worst = max(worst, abs(res.value - _evaluate(rows, den, xv, lam)))
-            tails_ok = tails_ok and res.tail_bound <= tol
-        return worst, tails_ok
+        # tail_bound is within tol; the cleared row is read once per l, and
+        # the worst |value - exact| is kept as an unreduced int pair wn/wd
+        wn, wd, tails_ok, cells = 0, 1, True, count()
+        for lam in _LAMS:
+            at_l = [_horner(row, lam.numerator, lam.denominator) for row in rows]
+            scale = den * lam.denominator ** max(len(rows[0]) - 1, 0)
+            for xv in _XS:
+                res = series(n, r, s, next(cells))
+                (a, b), (p, q) = res.value.as_integer_ratio(), xv.as_integer_ratio()
+                d = scale * q ** (len(rows) - 1)  # the exact value is _horner(...) / d
+                rn, rd = abs(a * d - _horner(at_l, p, q) * b), b * d
+                if rn * wd > wn * rd:
+                    wn, wd = rn, rd
+                tails_ok = tails_ok and res.tail_bound <= tol
+        return Fraction(wn, wd), tails_ok
 
     pairs = [(r, s) for r in range(1, max_r + 1) for s in range(1, min(r, max_s) + 1)]
     for r, s in pairs:
@@ -348,8 +357,10 @@ def cmd_verify(args) -> int:
     _require_at_least("--max-n", args.max_n, 0)
     _require_at_least("--max-r", args.max_r, 0)
     _require_at_least("--max-s", args.max_s, 1)
-    # every suite refuses tol <= 0, not only the one that reads it
+    # every suite refuses tol <= 0 and order < 0, not only the one that reads it
     _require_positive("tol", args.tol)
+    if not args.order >= 0:
+        raise ValueError("order must be a nonnegative integer")
     wanted = _SUITES if args.suite == "all" else (args.suite,)
     checks = [check for name in wanted for check in _SUITES[name](args)]
     if not checks:

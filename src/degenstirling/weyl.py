@@ -123,9 +123,9 @@ class NormalForm:
         return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
-        body = ", ".join(
-            f"({i},{j}): {c}" for (i, j), c in sorted(self._terms.items(), reverse=True)
-        )
+        # each power through _got: str() of one past the int digit limit raises
+        body = ", ".join(f"({_got(i)},{_got(j)}): {c}"
+                         for (i, j), c in sorted(self._terms.items(), reverse=True))
         return f"NormalForm({{{body}}})"
 
 

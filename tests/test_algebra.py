@@ -15,6 +15,7 @@ from degenstirling.algebra import (
     XPoly,
     _cleared,
     _evaluate,
+    _horner,
     as_rational,
     falling_scalar,
     rational_str,
@@ -254,6 +255,17 @@ def test_evaluate_on_cleared_rows_matches_the_tower(p, xv, lam):
     value = _evaluate(rows, den, Fraction(xv), Fraction(lam))
     assert type(value) is Fraction
     assert value == p(xv)(lam)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=7),
+       st.fractions(min_value=-20, max_value=20, max_denominator=50))
+def test_horner_is_the_value_times_the_denominator_power(coeffs, point):
+    # q^D c(p/q) for c of degree D = len(c) - 1, against the Fraction sum
+    value = sum(c * point ** i for i, c in enumerate(coeffs))
+    expected = value * Fraction(point.denominator) ** (len(coeffs) - 1)
+    got = _horner(coeffs, point.numerator, point.denominator)
+    assert type(got) is int and got == expected
 
 
 def test_scalar_helpers():

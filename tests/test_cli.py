@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling import bell, cli, serieslab, stirling, weyl
-from degenstirling.algebra import X, XPoly, rational_str
+from degenstirling.algebra import X, XPoly, _cleared, _evaluate, rational_str
 
 from .pins import PINS, ROW_PINS
 
@@ -408,6 +408,38 @@ def test_verify_dobinski_fails_where_a_wrong_weyl_row_is_used(capsys, monkeypatc
     assert _failed_dobinski_checks(capsys) == ["dobinski-balanced[k=2,r=3]"]
 
 
+@pytest.mark.parametrize("shifts, passed", [
+    ({4: Fraction(1, 3), 2: Fraction(-2)}, False),
+    ({4: Fraction(1, 3), 2: Fraction(-1, 3), 8: Fraction(1, 2)}, True),
+])
+def test_verify_dobinski_reports_the_worst_residual_of_the_grid(capsys, monkeypatch,
+                                                                shifts, passed):
+    # values of the (2, 2, 1) series moved by shift * tol at some grid cells:
+    # the check's detail is the largest |value - exact| over the nine cells,
+    # and it passes only if that is within tol
+    tol, real, values = Fraction(1, 10 ** 12), bell.dobinski_eval, {}
+
+    def shifted(n, r, s, x, lam, tol):
+        res = real(n, r, s, x, lam, tol)
+        if (n, r, s) == (2, 2, 1):
+            cell = cli._GRID.index((x, lam))
+            res = res._replace(value=res.value + shifts.get(cell, 0) * tol)
+            values[cell] = res.value
+        return res
+
+    monkeypatch.setattr(bell, "dobinski_eval", shifted)
+    code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "dobinski"])
+    assert (code, err) == (0 if passed else 1, "")
+    rows, den = _cleared(bell.bell_rs_poly(2, 2, 1).coeffs)
+    worst = max(abs(values[cell] - _evaluate(rows, den, x, lam))
+                for cell, (x, lam) in enumerate(cli._GRID))
+    assert (worst <= tol) is passed
+    check, = (c for c in json.loads(out)["checks"]
+              if c["identity"] == "dobinski-series[n=2,r=2,s=1]")
+    assert check == {"identity": "dobinski-series[n=2,r=2,s=1]", "pass": passed,
+                     "detail": f"worst residual {rational_str(worst)}"}
+
+
 def test_verify_dobinski_reads_one_balanced_sum_in_both_checks(capsys, monkeypatch):
     # the balanced series is summed once by dobinski_rr: a wrong value at
     # (k, r) = (2, 3) must fail both checks that read it, and nothing else
@@ -689,6 +721,17 @@ def test_verify_recurrence_fails_where_a_wrong_row_is_used(capsys, monkeypatch):
 
 def test_verify_negative_order_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["verify", "--suite", "egf", "--order", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: order must be a nonnegative integer\n"
+
+
+@pytest.mark.parametrize("suite", ["oracles", "egf", "recurrence", "dobinski", "all"])
+def test_verify_negative_order_is_a_usage_error_for_every_suite(capsys, monkeypatch, suite):
+    # only the egf suite reads --order: the others used to exit 0 on it, and
+    # `all` ran the oracles suite before it failed; now no suite runs
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, lambda args: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, ["verify", "--suite", suite, "--order", "-1"])
     assert (code, out) == (2, "")
     assert err == "error: order must be a nonnegative integer\n"
 

@@ -80,6 +80,13 @@ def test_normal_form_text_is_exact_past_the_int_digit_limit(int_digit_limit):
     assert str(nf) == lifted
 
 
+def test_normal_form_powers_are_written_exactly_past_the_int_digit_limit(int_digit_limit):
+    # __init__ accepts such a power, so its text must not raise
+    int_digit_limit(640)
+    assert repr(NormalForm({(10 ** 700, 0): 1})) == f"NormalForm({{(1{'0' * 700},0): 1}})"
+    assert repr(NormalForm({(2, 1): 3})) == "NormalForm({(2,1): 3})"
+
+
 words = st.lists(st.sampled_from(["c", "a"]), min_size=0, max_size=8).map(tuple)
 
 
