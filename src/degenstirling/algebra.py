@@ -15,8 +15,8 @@ peel, serieslab's series and bell's recurrence run on instead: an int
 polynomial in x and l is a list over the degree in x of int lists in l
 ([[1], [0, -2]] is 1 - 2 l x), and a series in t is the list of its
 entries n! [t^n].  _cleared and _lambda_polys cross between the tower
-and the format over one common denominator, _horner and _evaluate read
-them at a rational point, _convolve is entry n of a product of series,
+and the format over one common denominator, _horner reads them at a
+rational point, _convolve is entry n of a product of series,
 and _degenerate_exp gives the entries (b)_{n,l}.
 """
 
@@ -347,16 +347,6 @@ def _horner(coeffs: list, p: int, q: int) -> int:
     for c in reversed(coeffs):
         acc, scale = acc * p + c * scale, scale * q
     return acc
-
-
-def _evaluate(rows: list, den: int, x: Fraction, lam: Fraction) -> Fraction:
-    """Cleared rows over den at (x, l) = (p/q, u/v), by homogeneous Horner:
-    one int numerator sum c_ij p^i q^(D-i) u^j v^(E-j) over den q^D v^E,
-    reduced once."""
-    width = len(rows[0]) if rows else 0
-    u, v = lam.numerator, lam.denominator
-    num = _horner([_horner(row, u, v) for row in rows], x.numerator, x.denominator)
-    return Fraction(num, den * x.denominator ** max(len(rows) - 1, 0) * v ** max(width - 1, 0))
 
 
 def _add(p: list, q: list) -> list:

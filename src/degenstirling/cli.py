@@ -28,12 +28,11 @@ import re
 import shutil
 import sys
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from . import bell, serieslab, stirling, weyl
 from .algebra import (
-    LambdaPoly, XPoly, _cleared, _evaluate, _horner, _require_at_least, _require_positive,
-    rational_str,
+    LambdaPoly, XPoly, _cleared, _horner, _require_at_least, _require_positive, rational_str,
 )
 
 __all__ = ["main", "entry", "canonical_json"]
@@ -284,28 +283,30 @@ _GRID = tuple((xv, lam) for lam in _LAMS for xv in _XS)
 
 def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
     checks = []
-    # each series once: at s = r both checks read dobinski_rr's sum; keyed by
-    # grid position, as hashing a Fraction takes a modular inverse each time
-    sums = {}
+    # each Bell row built and cleared once, and each shape's nine series
+    # summed once, in _GRID order: at s = r both checks read dobinski_rr's sums
+    bell_rows, sums = {}, {}
 
-    def series(n, r, s, cell):
-        key = n, r, s, cell
-        if key not in sums:
-            xv, lam = _GRID[cell]
-            sums[key] = (bell.dobinski_rr(n, r, xv, lam, tol) if s == r
-                         else bell.dobinski_eval(n, r, s, xv, lam, tol))
-        return sums[key]
+    def bell_row(n, r, s):
+        if (n, r, s) not in bell_rows:
+            poly = bell.bell_rs_poly(n, r, s)
+            bell_rows[n, r, s] = (poly, *_cleared(poly.coeffs))
+        return bell_rows[n, r, s]
 
     def grid(n, r, s, rows, den):
         # the worst residual over the (x, l) grid, and whether every
         # tail_bound is within tol; the cleared row is read once per l, and
         # the worst |value - exact| is kept as an unreduced int pair wn/wd
-        wn, wd, tails_ok, cells = 0, 1, True, count()
+        if (n, r, s) not in sums:
+            sums[n, r, s] = [bell.dobinski_rr(n, r, xv, lam, tol) if s == r
+                             else bell.dobinski_eval(n, r, s, xv, lam, tol)
+                             for xv, lam in _GRID]
+        wn, wd, tails_ok, cells = 0, 1, True, iter(sums[n, r, s])
         for lam in _LAMS:
             at_l = [_horner(row, lam.numerator, lam.denominator) for row in rows]
             scale = den * lam.denominator ** max(len(rows[0]) - 1, 0)
             for xv in _XS:
-                res = series(n, r, s, next(cells))
+                res = next(cells)
                 (a, b), (p, q) = res.value.as_integer_ratio(), xv.as_integer_ratio()
                 d = scale * q ** (len(rows) - 1)  # the exact value is _horner(...) / d
                 rn, rd = abs(a * d - _horner(at_l, p, q) * b), b * d
@@ -317,7 +318,7 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
     pairs = [(r, s) for r in range(1, max_r + 1) for s in range(1, min(r, max_s) + 1)]
     for r, s in pairs:
         for n in range(1, max_n + 1):
-            worst, tails_ok = grid(n, r, s, *_cleared(bell.bell_rs_poly(n, r, s).coeffs))
+            worst, tails_ok = grid(n, r, s, *bell_row(n, r, s)[1:])
             checks.append(
                 _check(f"dobinski-series[n={n},r={r},s={s}]", worst <= tol and tails_ok,
                        f"worst residual {rational_str(worst)}")
@@ -328,19 +329,16 @@ def _suite_dobinski(max_n: int, max_r: int, max_s: int, tol: Fraction) -> list:
             rows, den = _cleared(weyl.extract_stirling(weyl.degenerate_product(n, r, r), n, r, r))
             worst, _ = grid(n, r, r, rows, den)
             checks.append(_check(f"dobinski-balanced[k={n},r={r}]", worst <= tol))
-            ok = bell.bell_rs_poly(n, r, r) == XPoly(stirling.newton_row("stirling-rr", n, r))
+            ok = bell_row(n, r, r)[0] == XPoly(stirling.newton_row("stirling-rr", n, r))
             checks.append(_check(f"double-sum-identity[n={n},r={r}]", ok))
     for r in range(2, max_r + 1):
         for s in range(1, r):
             for n in range(1, max_n + 1):
-                exact = _evaluate(*_cleared(bell.bell_rs_poly(n, r, s).coeffs), 1, 0)
+                # the exact value at (x, l) = (1, 0): the rows' constant l-terms over den
+                _, rows, den = bell_row(n, r, s)
                 res = bell.gamma_formula_classical(n, r, s, tol)
-                checks.append(
-                    _check(
-                        f"gamma-ratio-series[n={n},r={r},s={s}]",
-                        abs(res.value - exact) <= tol,
-                    )
-                )
+                ok = abs(res.value - Fraction(sum(row[0] for row in rows), den)) <= tol
+                checks.append(_check(f"gamma-ratio-series[n={n},r={r},s={s}]", ok))
     return checks
 
 

@@ -90,6 +90,8 @@ def _stirling_egf_report(k: int, pw: list, order: int) -> CheckReport:
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
+    if not (isinstance(order, int) and order >= 0):
+        raise ValueError("order must be a nonnegative integer")
     if not (isinstance(k, int) and 0 <= k <= order):
         raise ValueError(f"need 0 <= k <= order, got {_got(k)}")
     return _stirling_egf_report(k, next(islice(_egf_powers(order), k, None)), order)

@@ -55,6 +55,10 @@ PINS = [
     # the Dobinski suite at a tight tolerance, both start indices
     ("verify --suite dobinski --tol 1e-300",
      "1c22c483d682e7fa9af0d777042a16df282018e736b3f797f820dfe7433909ba"),
+    # the Dobinski suite where the Gamma checks, which --max-s does not
+    # bound, read shapes that the series checks never built
+    ("verify --suite dobinski --max-s 1",
+     "b5fa140b9c5f780e98f38de59adbab4ecb9320ecf5ffe3723ad725b4999e1835"),
     # the API-only series, which no CLI command reaches
     (API_SERIES,
      "658db1d6859dd4d47f83ba5d5bdc61d565fbac6f9a58e75a7d1e622ed2b6862b"),

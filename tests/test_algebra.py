@@ -14,7 +14,6 @@ from degenstirling.algebra import (
     X,
     XPoly,
     _cleared,
-    _evaluate,
     _horner,
     as_rational,
     falling_scalar,
@@ -250,10 +249,15 @@ points = st.fractions(min_value=-5, max_value=5, max_denominator=9)
 @example(X * X + LAMBDA * X, Fraction(-1, 2), 0)
 @example(XPoly([LambdaPoly([0, 0, Fraction(5, 8)])]), 0, Fraction(-7, 9))
 def test_evaluate_on_cleared_rows_matches_the_tower(p, xv, lam):
-    # integer homogeneous Horner against Poly.__call__ in Fraction arithmetic
+    # the nested integer homogeneous Horner that verify's Dobinski grid reads
+    # the cleared rows by, one int numerator over den q^D v^E at (x, l) =
+    # (a/q, u/v), against Poly.__call__ in Fraction arithmetic
     rows, den = _cleared(p.coeffs)
-    value = _evaluate(rows, den, Fraction(xv), Fraction(lam))
-    assert type(value) is Fraction
+    (a, q), (u, v) = Fraction(xv).as_integer_ratio(), Fraction(lam).as_integer_ratio()
+    num = _horner([_horner(row, u, v) for row in rows], a, q)
+    assert type(num) is int
+    width = len(rows[0]) if rows else 0
+    value = Fraction(num, den * q ** max(len(rows) - 1, 0) * v ** max(width - 1, 0))
     assert value == p(xv)(lam)
 
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenstirling import bell, cli, serieslab, stirling, weyl
-from degenstirling.algebra import X, XPoly, _cleared, _evaluate, rational_str
+from degenstirling.algebra import X, XPoly, rational_str
 
 from .pins import PINS, ROW_PINS
 
@@ -430,9 +430,9 @@ def test_verify_dobinski_reports_the_worst_residual_of_the_grid(capsys, monkeypa
     monkeypatch.setattr(bell, "dobinski_eval", shifted)
     code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "dobinski"])
     assert (code, err) == (0 if passed else 1, "")
-    rows, den = _cleared(bell.bell_rs_poly(2, 2, 1).coeffs)
-    worst = max(abs(values[cell] - _evaluate(rows, den, x, lam))
-                for cell, (x, lam) in enumerate(cli._GRID))
+    # the exact values from the tower, which shares no code with the grid
+    row = bell.bell_rs_poly(2, 2, 1)
+    worst = max(abs(values[cell] - row(x)(lam)) for cell, (x, lam) in enumerate(cli._GRID))
     assert (worst <= tol) is passed
     check, = (c for c in json.loads(out)["checks"]
               if c["identity"] == "dobinski-series[n=2,r=2,s=1]")
@@ -481,6 +481,23 @@ def test_verify_dobinski_sums_each_series_once(capsys, monkeypatch):
     assert len(json.loads(out)["checks"]) == 60
     assert len(calls) == 216
     assert len(set(calls)) == 216
+
+
+def test_verify_dobinski_builds_each_bell_row_once(capsys, monkeypatch):
+    # 24 shapes: the 6 (r, s) pairs x 4 orders of the series checks; the
+    # double-sum and Gamma-ratio checks read rows among them
+    calls = []
+    real = bell.bell_rs_poly
+
+    def counted(n, r, s):
+        calls.append((n, r, s))
+        return real(n, r, s)
+
+    monkeypatch.setattr(bell, "bell_rs_poly", counted)
+    code, out, err = run(capsys, ["verify", "--order", "6", "--suite", "dobinski"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["checks"]) == 60
+    assert len(calls) == len(set(calls)) == 24
 
 
 def test_verify_oracles_builds_each_closed_row_once(monkeypatch):

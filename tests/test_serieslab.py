@@ -145,3 +145,16 @@ def test_lab_validates_the_order():
         serieslab.r_bell_egf_check(1, -1)
     with pytest.raises(ValueError, match="order must be a nonnegative integer"):
         serieslab.rr_egf_check(1, 2.5)
+
+
+@pytest.mark.parametrize("check, args", [
+    (serieslab.stirling_egf_check, (0,)),
+    (serieslab.bell_egf_check, ()),
+    (serieslab.r_bell_egf_check, (1,)),
+    (serieslab.rr_egf_check, (1,)),
+], ids=["stirling", "bell", "r-bell", "rr"])
+def test_every_egf_check_names_a_negative_order(check, args):
+    # a bad order is reported as the order, not as the k it bounds
+    with pytest.raises(ValueError, match="^order must be a nonnegative integer$"):
+        check(*args, order=-1)
+
