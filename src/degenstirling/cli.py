@@ -133,14 +133,16 @@ def cmd_table(args) -> int:
 # normal-order
 
 def cmd_normal_order(args) -> int:
-    # the packed row itself, j descending: the NormalForm's terms in reverse key order
+    # the packed row itself, j descending: the NormalForm's terms in reverse key order.
+    # The JSON text is written directly: a record holds two ints and rational_str
+    # cells (digits, '-' and '/'), so its bytes are fixed and need no escaping, and
+    # json.dumps of a dict per term cost more than decoding the row
     row = weyl.diagonal_row(args.n, args.r, args.s)
     shift = args.n * (args.r - args.s)
-    records = [
-        {"i": shift + j, "j": j, "coeff": list(map(rational_str, row[j]))}
+    print("[" + ",".join(
+        f'{{"i":{shift + j},"j":{j},"coeff":["' + '","'.join(map(rational_str, row[j])) + '"]}'
         for j in range(len(row) - 1, -1, -1) if row[j]
-    ]
-    print(canonical_json(records))
+    ) + "]")
     return 0
 
 

@@ -139,7 +139,8 @@ def diagonal_row(n: int, r: int, s: int) -> list:
     j+1 to entry j; the row after the first r - s, times -k l, is the l-term,
     and a^s prepends s zeros.  Each entry is one int, its polynomial at
     l = 2^b (b from _digit_width): a commutation is one pass of big-int
-    multiply-adds, l a shift, and _unpack reads n signed b-bit digits back."""
+    multiply-adds, l a shift, and _unpack reads back the signed b-bit digits
+    that each entry's bit length allows (at most n)."""
     _require_at_least("n", n, 1)
     _require_rs(r, s)
     b = _digit_width(n, r, s)
@@ -174,7 +175,13 @@ def _unpack(packed: list, b: int, n: int) -> list:
     """Each int as its n signed b-bit digits, lowest first, trailing zeros
     trimmed.  The offset H = 2^(b-1) (2^(bn) - 1) / (2^b - 1) is 2^(b-1) in
     every digit, so digit i of v + H, less 2^(b-1), is digit i of v; anything
-    of v + H above the n-th digit raises ArithmeticError."""
+    of v + H above the n-th digit raises ArithmeticError.
+
+    Only the first t = min(n, (L + 1) // b + 1) digits are read, L the bit
+    length of |v| (int.bit_length ignores the sign): if digit h is the top
+    nonzero one, |v| > 2^(bh) / 3 (for b >= 2 the lower digits sum to less
+    than (2/3) 2^(bh) in magnitude; for b = 1 every digit is 0 or -1 and
+    nothing cancels), so L >= bh - 1 and h < t."""
     half, mask, top = 1 << (b - 1), (1 << b) - 1, b * n
     offset = half * ((1 << top) - 1) // mask
     out = []
@@ -182,7 +189,8 @@ def _unpack(packed: list, b: int, n: int) -> list:
         w = v + offset
         if w >> top:
             raise ArithmeticError(f"entry {j} of the packed row overflows {b}-bit digits")
-        coeffs = [((w >> b * i) & mask) - half for i in range(n)]
+        stop = ((v.bit_length() + 1) // b + 1) * b  # the digits past (L + 1) // b are zero
+        coeffs = [((w >> i) & mask) - half for i in range(0, stop if stop < top else top, b)]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         out.append(coeffs)

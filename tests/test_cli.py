@@ -270,14 +270,28 @@ def test_a_rational_past_the_int_parse_limit_names_the_limit(capsys):
     assert "0" * 100 not in captured.err
 
 
-def test_csv_cells_are_exact_past_the_int_digit_limit(capsys, int_digit_limit):
-    # the row's largest coefficient has 884 digits
-    argv = ["table", "stirling-rr", "--n", "2", "--r", "400", "--format", "csv"]
+def _same_bytes_past_the_int_digit_limit(capsys, int_digit_limit, argv, digits):
+    # the output holds a number of `digits` digits, past the least limit 640,
+    # and is the same with the limit lifted and at 640
     int_digit_limit(0)
     lifted = run(capsys, argv)
-    assert lifted[0] == 0 and len(lifted[1]) > 884
+    assert lifted[0] == 0 and re.search(rf"\d{{{digits}}}", lifted[1])
     int_digit_limit(640)
     assert run(capsys, argv) == lifted
+
+
+def test_csv_cells_are_exact_past_the_int_digit_limit(capsys, int_digit_limit):
+    # the row's largest coefficient has 884 digits
+    argv = "table stirling-rr --n 2 --r 400 --format csv".split()
+    _same_bytes_past_the_int_digit_limit(capsys, int_digit_limit, argv, 884)
+
+
+@pytest.mark.parametrize("argv, digits", [
+    ("table stirling-rr --n 2 --r 400", 884),
+    ("normal-order --n 2 --r 400 --s 400", 884),
+])
+def test_json_cells_are_exact_past_the_int_digit_limit(capsys, int_digit_limit, argv, digits):
+    _same_bytes_past_the_int_digit_limit(capsys, int_digit_limit, argv.split(), digits)
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstirling.algebra import LAMBDA, LambdaPoly
@@ -271,6 +271,10 @@ def _packed_values(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_packed_values())
+# the decode's tight cases: digits [-2, -2, 1], where the b >= 2 bound on the
+# top digit is exact, read as 3 of 5 digits; and b = 1, digits [-1, 0, -1]
+@example((6, 2, 5))
+@example((-5, 1, 3))
 def test_offset_decode_is_the_digit_loop(case):
     v, b, n = case
     try:
