@@ -15,9 +15,10 @@ peel, serieslab's series and bell's recurrence run on instead: an int
 polynomial in x and l is a list over the degree in x of int lists in l
 ([[1], [0, -2]] is 1 - 2 l x), and a series in t is the list of its
 entries n! [t^n].  _cleared and _lambda_polys cross between the tower
-and the format over one common denominator, _horner reads them at a
-rational point, _convolve is entry n of a product of series,
-and _degenerate_exp gives the entries (b)_{n,l}.
+and the format over one common denominator, _trimmed is the canonical
+form in which verify compares them, _horner reads them at a rational
+point, _convolve is entry n of a product of series, and _degenerate_exp
+gives the entries (b)_{n,l}.
 """
 
 from __future__ import annotations
@@ -281,13 +282,15 @@ class LambdaPoly(Poly):
 
 
 LAMBDA = LambdaPoly((0, 1))
+# the zero a read past a row's end returns: LambdaPoly is immutable, so one object
+_LP_ZERO = LambdaPoly()
 
 
 class XPoly(Poly):
     """Polynomial in x whose coefficients are LambdaPoly."""
 
     __slots__ = ()
-    _ZERO = LambdaPoly()
+    _ZERO = _LP_ZERO
     _lift = staticmethod(LambdaPoly._coerce)
 
     @staticmethod
@@ -340,6 +343,20 @@ def _lambda_polys(rows, den: int = 1) -> list:
                                              for v in row]) for row in rows]
 
 
+def _trimmed(p: list) -> tuple:
+    """The canonical form of an int (x, l) list, trailing zeros dropped in l
+    and then in x: the coeffs tuples of XPoly(_lambda_polys(p))."""
+    out = []
+    for a in p:
+        end = len(a)
+        while end and not a[end - 1]:
+            end -= 1
+        out.append(tuple(a[:end]))
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def _horner(coeffs: list, p: int, q: int) -> int:
     """q^D c(p/q) for the int list c of degree D = len(c) - 1, by homogeneous
     Horner: sum c_i p^i q^(D-i), in ints."""
@@ -355,14 +372,17 @@ def _add(p: list, q: list) -> list:
 
 
 def _mul(p: list, q: list, scale: int = 1) -> list:
+    """scale p q, skipping the zero entries of p: nearly half in verify."""
     width = max(map(len, p), default=0) + max(map(len, q), default=0) - 1
     out = [[0] * width for _ in range(len(p) + len(q) - 1)]
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            row = out[i + j]
-            for s, u in enumerate(a):
-                for t, v in enumerate(b):
-                    row[s + t] += scale * u * v
+        for s, u in enumerate(a):
+            if u:
+                u *= scale
+                for j, b in enumerate(q, i):
+                    row = out[j]
+                    for t, v in enumerate(b, s):
+                        row[t] += u * v
     return out
 
 

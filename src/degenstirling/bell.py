@@ -87,14 +87,19 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
     """
     _require_at_least("n", n, 0)
     _require_at_least("r", r, 0)
-    # the shifted Bell rows have int coefficients, so the cleared
-    # denominator is 1; [[], *p] is x p
+    # the shifted Bell rows have int coefficients: the cleared denominator is 1
     phi, phi_next = ([_cleared(r_bell_poly(k, s).coeffs)[0] for k in range(n + 1)]
                      for s in (r, r + 1))
+    form_a, form_b = _r_bell_forms(n, r, phi, phi_next)
+    return XPoly(_lambda_polys(form_a)), XPoly(_lambda_polys(form_b))
+
+
+def _r_bell_forms(n: int, r: int, phi: list, phi_next: list) -> tuple[list, list]:
+    """r_bell_recurrence in int (x, l) lists, of the rows phi_k^(r), phi_k^(r+1), k <= n."""
     neg, one_minus = _degenerate_exp([[0, -1]], n), _degenerate_exp([[1, -1]], n)
     form_a = _convolve(neg, [_add([[], *q], _mul(p, [[r]])) for p, q in zip(phi, phi_next)], n)
     form_b = _convolve([_add(_mul(a, [[r]]), [[], *b]) for a, b in zip(neg, one_minus)], phi, n)
-    return XPoly(_lambda_polys(form_a)), XPoly(_lambda_polys(form_b))
+    return form_a, form_b
 
 
 class DobinskiResult(namedtuple("DobinskiResult", "value terms_used tail_bound")):

@@ -16,6 +16,11 @@ full collections sooner; a process that re-imports the package, as the
 benchmark's set-up does, frees each stale copy of it only at a full
 collection, so held parsers, or no parser at all for a valid request,
 raised its peak memory.
+
+verify's oracles, egf and recurrence checks compare canonical int rows, and
+build XPolys only for a failing egf check's first_mismatch.  They read rows
+through the public readers (family_row, newton_row, r_bell_poly, bell_rs_poly,
+stirling2_degenerate), so that a wrong row patched at one fails verify.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from itertools import islice
 
 from . import bell, serieslab, stirling, weyl
 from .algebra import (
-    LambdaPoly, XPoly, _cleared, _horner, _require_at_least, _require_positive, rational_str,
+    LambdaPoly, XPoly, _cleared, _horner, _require_at_least, _require_positive, _trimmed,
+    rational_str,
 )
 
 __all__ = ["main", "entry", "canonical_json"]
@@ -206,23 +212,19 @@ def _suite_oracles(max_n: int, max_r: int, max_s: int) -> list:
     for r, s in pairs:
         for n in range(1, max_n + 1):
             closed = closed_row(n, r, s)
-            engine = weyl.extract_stirling(weyl.degenerate_product(n, r, s), n, r, s)
+            engine = weyl.diagonal_row(n, r, s)  # the row degenerate_product wraps
             kernel = stirling.family_row("stirling-rs", n, r, s)
-            bad = next(
-                (k for k in range(n * s + 1)
-                 if not closed[k] == engine[k] == kernel.coefficient(k)),
-                None,
-            )
-            checks.append(
-                _check(
-                    f"triple-oracle[n={n},r={r},s={s}]",
-                    bad is None,
-                    None if bad is None else f"first mismatch at k={bad}",
-                )
-            )
-            lhs = stirling.FAMILIES["stirling-rs"].polynomial(n, r, s)
-            rhs = stirling.BasisCoeffs(tuple(closed[:n * s + 1]), "falling").to_polynomial()
-            checks.append(_check(f"factored-identity[n={n},r={r},s={s}]", lhs == rhs))
+            bad = next((k for k in range(n * s + 1) if not
+                        closed[k].coeffs == tuple(engine[k]) == kernel.coefficient(k).coeffs),
+                       None)
+            checks.append(_check(f"triple-oracle[n={n},r={r},s={s}]", bad is None,
+                                 None if bad is None else f"first mismatch at k={bad}"))
+            # Family.polynomial times den against BasisCoeffs.to_polynomial, in ints
+            rows, den = _cleared(closed[:n * s + 1])
+            lhs = stirling.FAMILIES["stirling-rs"]._int_polynomial(n, r, s)
+            ok = _trimmed([[den * v for v in a] for a in lhs]) == _trimmed(
+                stirling._from_basis(rows, True))
+            checks.append(_check(f"factored-identity[n={n},r={r},s={s}]", ok))
             vanish = all(c.is_zero() for c in closed[n * s + 1:])
             checks.append(_check(f"vanish-beyond-ns[n={n},r={r},s={s}]", vanish,
                                  None if vanish else stirling._NOT_VANISHING))
@@ -234,14 +236,9 @@ def _suite_oracles(max_n: int, max_r: int, max_s: int) -> list:
                 row.coefficient(k).is_zero() for k in range(r)
             )
             checks.append(_check(f"balanced-basis-row[n={n},r={r}]", ok))
-        checks.append(
-            _check(
-                f"balanced-first-row[r={r}]",
-                stirling.stirling_rr_degenerate(1, r, r)
-                == closed_row(1, r, r)[r]
-                == LambdaPoly.one(),
-            )
-        )
+        first = stirling.stirling_rr_degenerate(1, r, r).coeffs
+        checks.append(_check(f"balanced-first-row[r={r}]",
+                             first == closed_row(1, r, r)[r].coeffs == (1,)))
     for n in range(1, max_n + 1):
         closed = closed_row(n, 2, 1)
         ok = all(stirling.lah_degenerate(n, k) == closed[k] for k in range(n + 1))
@@ -265,15 +262,16 @@ def _suite_egf(order: int, max_r: int) -> list:
 def _suite_recurrence(max_n: int, max_r: int) -> list:
     checks = []
     for r in range(max_r + 1):
+        # bell.r_bell_recurrence in ints, each row read once per r: check n
+        # reads rows k <= n of phi and phi_next, and its target phi[n + 1]
+        polys = [bell.r_bell_poly(k, r) for k in range(max_n + 2)]
+        polys_next = [bell.r_bell_poly(k, r + 1) for k in range(max_n + 1)]
+        targets = [tuple(c.coeffs for c in p.coeffs) for p in polys]
+        phi, phi_next = ([_cleared(p.coeffs)[0] for p in ps] for ps in (polys, polys_next))
         for n in range(max_n + 1):
-            form_a, form_b = bell.r_bell_recurrence(n, r)
-            target = bell.r_bell_poly(n + 1, r)
-            checks.append(
-                _check(
-                    f"shifted-bell-recurrence[n={n},r={r}]",
-                    form_a == target and form_b == target,
-                )
-            )
+            forms = bell._r_bell_forms(n, r, phi[:n + 1], phi_next[:n + 1])
+            checks.append(_check(f"shifted-bell-recurrence[n={n},r={r}]",
+                                 all(_trimmed(form) == targets[n + 1] for form in forms)))
     return checks
 
 

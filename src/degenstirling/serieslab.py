@@ -6,7 +6,9 @@ coefficient up to the requested order.  The two sides never share a
 formula, so each check is an independent oracle for the other route.
 A series is held as its entries n! [t^n] in algebra's int (x, l) list
 format, whose _convolve and _degenerate_exp build the products and the
-degenerate exponentials.  Nothing is divided until a row is compared.
+degenerate exponentials.  Nothing is divided: a passing check compares
+each entry with its row times n! as canonical int tuples, and only a
+failing one builds the two XPolys its Mismatch prints.
 The tests build the same series a second way, in the Fraction series
 tower of tests/series_tower.py, and compare the two.
 """
@@ -25,6 +27,7 @@ from .algebra import (
     _lambda_polys,
     _got,
     _require_at_least,
+    _trimmed,
 )
 from .bell import bell_rs_poly, r_bell_poly
 from .stirling import _basis_expand, falling_basis_poly, stirling2_degenerate
@@ -51,10 +54,18 @@ class CheckReport(namedtuple("CheckReport", "identity order passed first_mismatc
 
 
 def _report(identity: str, order: int, pairs) -> CheckReport:
-    for n, expected, actual in pairs:
+    # each pair: n, both sides as canonical int tuples, and a thunk for their XPolys
+    for n, expected, actual, sides in pairs:
         if expected != actual:
-            return CheckReport(identity, order, False, Mismatch(n, expected, actual))
+            return CheckReport(identity, order, False, Mismatch(n, *sides()))
     return CheckReport(identity, order, True, None)
+
+
+def _pairs(rows, entries, den=lambda n: 1):
+    """_report's pairs for the int (x, l) lists rows and entries, both over den(n)."""
+    for n, (row, entry) in enumerate(zip(rows, entries)):
+        yield n, _trimmed(row), _trimmed(entry), lambda row=row, entry=entry, d=den(n): (
+            XPoly(_lambda_polys(row, d)), XPoly(_lambda_polys(entry, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +91,11 @@ def _egf_powers(order: int):
 
 
 def _stirling_egf_report(k: int, pw: list, order: int) -> CheckReport:
-    pairs = (
-        (n, XPoly.constant(stirling2_degenerate(n, k) / factorial(n)),
-         XPoly(_lambda_polys(pw[n], factorial(k) * factorial(n))))
-        for n in range(order + 1)
-    )
-    return _report(f"stirling2-egf[k={k}]", order, pairs)
+    # both sides times k! n!: k! S(n, k) against the entry n! [t^n] of the power
+    fk = factorial(k)
+    rows = ([[fk * c for c in stirling2_degenerate(n, k).coeffs]] for n in range(order + 1))
+    return _report(f"stirling2-egf[k={k}]", order,
+                   _pairs(rows, pw, lambda n: fk * factorial(n)))
 
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
@@ -110,8 +120,8 @@ def r_bell_egf_check(r: int, order: int = 10) -> CheckReport:
     _require_at_least("r", r, 0)
     x_em1 = [[], *([[], *c] for c in _degenerate_exp([[1]], order)[1:])]
     series = _product(_degenerate_exp([[r]], order), _exp(x_em1))
-    pairs = ((n, r_bell_poly(n, r), XPoly(_lambda_polys(series[n]))) for n in range(order + 1))
-    return _report(f"r-bell-egf[r={r}]", order, pairs)
+    rows = ([c.coeffs for c in r_bell_poly(n, r).coeffs] for n in range(order + 1))
+    return _report(f"r-bell-egf[r={r}]", order, _pairs(rows, series))
 
 
 def rr_egf_check(r: int, order: int = 10) -> CheckReport:
@@ -122,8 +132,6 @@ def rr_egf_check(r: int, order: int = 10) -> CheckReport:
     series = _degenerate_exp(_cleared(falling_basis_poly(r).coeffs)[0], order)
     # sum c_k (x)_k read as sum c_k x^k: the coherent-state expectation,
     # where (a+)^k a^k contributes |z|^2k = x^k
-    pairs = (
-        (n, bell_rs_poly(n, r, r), XPoly(_lambda_polys(_basis_expand(series[n], True))))
-        for n in range(order + 1)
-    )
-    return _report(f"rr-egf[r={r}]", order, pairs)
+    rows = ([c.coeffs for c in bell_rs_poly(n, r, r).coeffs] for n in range(order + 1))
+    return _report(f"rr-egf[r={r}]", order,
+                   _pairs(rows, (_basis_expand(e, True) for e in series)))

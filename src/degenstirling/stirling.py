@@ -13,7 +13,7 @@ Family.polynomial multiplies the same list out in algebra's int (x, l)
 list format, and the basis converter _basis_expand (to_falling_basis,
 to_rising_basis) peels it by synthetic division in that format, over the
 common denominator cleared once: the kernel's second route, which the
-tests and serieslab's rr-egf use.
+tests and serieslab's rr-egf use; _from_basis multiplies a row back out.
 newton_row is the finite-difference route for every family: the factor
 list's product at x = 0, 1, 2, ... (0, -1, -2, ... in the rising basis),
 in int lists in l, and one forward-difference table built in place give
@@ -39,6 +39,7 @@ from .algebra import (
     LambdaPoly,
     X,
     XPoly,
+    _LP_ZERO,
     _add,
     _cleared,
     _lambda_polys,
@@ -94,18 +95,22 @@ class BasisCoeffs(namedtuple("BasisCoeffs", "coefficients basis")):
 
     def coefficient(self, k: int) -> LambdaPoly:
         cs = self.coefficients
-        return cs[k] if 0 <= k < len(cs) else LambdaPoly.zero()
+        return cs[k] if 0 <= k < len(cs) else _LP_ZERO
 
     def to_polynomial(self) -> XPoly:
-        # nested multiplication c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...)) on int
-        # lists over one denominator, with x + k in the rising basis
         rows, den = _cleared(self.coefficients)
-        step = -1 if self.basis == "falling" else 1
-        acc = []
-        for k in reversed(range(len(rows))):
-            acc = [[u + step * k * v for u, v in zip(lo, hi)]
-                   for lo, hi in zip([rows[k], *acc], [*acc, [0] * len(rows[k])])]
-        return XPoly(_lambda_polys(acc, den))
+        return XPoly(_lambda_polys(_from_basis(rows, self.basis == "falling"), den))
+
+
+def _from_basis(rows: list, falling: bool) -> list:
+    """The inverse of _basis_expand: c_0 + (x - 0)(c_1 + (x - 1)(c_2 + ...))
+    for the int lists in l rows, all of one length, with x + k when rising."""
+    step = -1 if falling else 1
+    acc = []
+    for k in reversed(range(len(rows))):
+        acc = [[u + step * k * v for u, v in zip(lo, hi)]
+               for lo, hi in zip([rows[k], *acc], [*acc, [0] * len(rows[k])])]
+    return acc
 
 
 def _basis_expand(q: list, falling: bool) -> list:
@@ -192,14 +197,18 @@ class Family(namedtuple("Family", "params least_n factors basis check",
 
     def polynomial(self, n: int, *params) -> XPoly:
         """The generating polynomial: the factor list multiplied out in x,
-        on int (x, l) lists, as an XPoly built once at the end."""
+        as an XPoly built once at the end."""
+        return XPoly(_lambda_polys(self._int_polynomial(n, *params)))
+
+    def _int_polynomial(self, n: int, *params) -> list:
+        """polynomial(n, *params) as an int (x, l) list."""
         p = [[1]]
         for c, depth, d in self.factors_for(n, *params):
             piece = [[1]]
             for a in range(c, c - depth, -1):
                 piece = _mul(piece, [[a], [1]])
             p = _mul(p, _add(piece, [[0, -d]]))
-        return XPoly(_lambda_polys(p))
+        return p
 
 
 FAMILIES = {

@@ -30,7 +30,7 @@ from itertools import accumulate, count, repeat
 from math import comb, factorial, perm, prod
 from operator import add, floordiv, lshift, mul
 
-from .algebra import LambdaPoly, _got, _require_at_least, _require_rs
+from .algebra import LambdaPoly, _LP_ZERO, _got, _require_at_least, _require_rs
 
 __all__ = [
     "NormalForm",
@@ -74,7 +74,7 @@ class NormalForm:
         return dict(self._terms)
 
     def coefficient(self, i: int, j: int) -> LambdaPoly:
-        return self._terms.get((i, j), LambdaPoly.zero())
+        return self._terms.get((i, j), _LP_ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -101,7 +101,7 @@ class NormalForm:
                     for m in range(min(j, i2) + 1):
                         w = factorial(m) * comb(j, m) * comb(i2, m)
                         key = (i + i2 - m, j + j2 - m)
-                        out[key] = out.get(key, LambdaPoly.zero()) + w * cd
+                        out[key] = out.get(key, _LP_ZERO) + w * cd
             return NormalForm(out)
         lp = LambdaPoly._coerce(other)
         if lp is None:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstirling import bell, cli, serieslab, stirling, weyl
+from degenstirling import algebra, bell, cli, serieslab, stirling, weyl
 from degenstirling.algebra import X, XPoly, rational_str
 
 from .pins import PINS, ROW_PINS
@@ -838,6 +838,87 @@ def test_verify_sees_a_wrong_r_stirling_row_through_every_reader(capsys, monkeyp
 def test_verify_bound_error_names_the_flag_and_value(capsys, flag, value, least):
     assert run(capsys, ["verify", flag, value]) == (
         2, "", f"error: {flag} must be >= {least}, got {value}\n")
+
+
+# The route-coverage probe: each case makes one family's row wrong in one
+# way, and verify --order 6 must exit 1.  "entry-k" adds 1 to entry k of the
+# family's n = 3 kernel row at stirling.family_row; "first-d" and "last-d"
+# add 1 to d of the first or last factor (c, depth, d) of its registry factor
+# list, and "last-c" adds 1 to c of the last.  A known gap is a case that no
+# verify check sees: no check reads a lah-signed row.  A new gap fails this
+# test, and so does a closed one until its entry leaves KNOWN_GAPS.
+ROUTE_FAMILIES = ("stirling2", "stirling-rs", "stirling-rr", "r-stirling", "lah", "lah-signed")
+ROUTE_MUTATIONS = ("entry-0", "entry-1", "entry-2", "first-d", "last-d", "last-c")
+KNOWN_GAPS = {("lah-signed", mutation) for mutation in ROUTE_MUTATIONS}
+
+
+def _wrong_factors(family, mutation):
+    def factors(n, *params):
+        listed = list(family.factors(n, *params))
+        if listed:  # n = 0 has no factor
+            at = 0 if mutation == "first-d" else -1
+            c, depth, d = listed[at]
+            listed[at] = (c + 1, depth, d) if mutation == "last-c" else (c, depth, d + 1)
+        return listed
+    return factors
+
+
+@pytest.mark.parametrize("mutation", ROUTE_MUTATIONS)
+@pytest.mark.parametrize("name", ROUTE_FAMILIES)
+def test_verify_sees_a_wrong_row_of_every_family(capsys, monkeypatch, name, mutation):
+    real = stirling.family_row
+    if mutation.startswith("entry-"):
+        k = int(mutation[-1])
+
+        def bumped(family, n, *params):
+            row = real(family, n, *params)
+            if (family, n) == (name, 3):
+                cells = list(row.coefficients)
+                cells[k] = cells[k] + 1
+                row = stirling.BasisCoeffs(tuple(cells), row.basis)
+            return row
+
+        monkeypatch.setattr(stirling, "family_row", bumped)
+    else:
+        family = stirling.FAMILIES[name]
+        monkeypatch.setitem(stirling.FAMILIES, name,
+                            family._replace(factors=_wrong_factors(family, mutation)))
+    real.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--order", "6"])
+    finally:
+        real.cache_clear()
+    assert (code, err) == (0 if (name, mutation) in KNOWN_GAPS else 1, "")
+    assert json.loads(out)["pass"] is (code == 0)
+
+
+def test_a_passing_verify_builds_few_polynomials(capsys, monkeypatch):
+    # every suite of verify --order 6, each from a cold family_row: the
+    # oracles, egf and recurrence checks compare int rows and build no Poly
+    # (LambdaPoly or XPoly) of their own; 1,328 are left, 2,790 before.  They
+    # are family_row's BasisCoeffs entries (717), newton_row's public
+    # LambdaPolys (316), and the Poly-returning readers that verify keeps
+    # calling so that a wrong row patched there fails it: bell.r_bell_poly
+    # and bell_rs_poly (through serieslab too), and the dobinski suite's
+    # degenerate_product, read by weyl.extract_stirling (about 190 in all);
+    # the rest is rr-egf's falling_basis_poly and the dobinski suite's XPoly
+    # of a newton_row.
+    calls = []
+    real = algebra.Poly.__init__
+
+    def counted(self, coeffs=()):
+        calls.append(type(self))
+        real(self, coeffs)
+
+    monkeypatch.setattr(algebra.Poly, "__init__", counted)
+    for suite in cli._SUITES:
+        stirling.family_row.cache_clear()
+        try:
+            code, out, err = run(capsys, ["verify", "--order", "6", "--suite", suite])
+        finally:
+            stirling.family_row.cache_clear()
+        assert (code, err) == (0, "")
+    assert len(calls) <= 1400
 
 
 def _main(argv) -> tuple:

@@ -3,11 +3,11 @@
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstirling import serieslab
-from degenstirling.algebra import LAMBDA, X, XPoly
+from degenstirling.algebra import LAMBDA, X, XPoly, _mul, _trimmed
 from degenstirling.bell import bell_rs_poly
 from degenstirling.serieslab import (
     CheckReport,
@@ -114,6 +114,32 @@ def as_series(entries) -> TruncatedSeries:
         len(entries) - 1,
         [XPoly(_lambda_polys(e, factorial(n))) for n, e in enumerate(entries)],
     )
+
+
+# mostly zeros, as the series lab's operands are: _mul skips the zero entries
+zero_heavy = st.lists(st.lists(st.sampled_from([0, 0, 0, 0, -2, 1, 3]), max_size=4), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_heavy, zero_heavy, st.integers(-3, 3))
+@example([], [[1]], 2)
+@example([[0]], [[0, 0, 3]], -1)
+@example([[0, 0, 3]], [[], [0], [2, 0, 1]], 3)
+def test_lab_mul_matches_the_tower(p, q, scale):
+    out = _mul(p, q, scale)
+    assert len(out) == max(len(p) + len(q) - 1, 0)
+    assert XPoly(_lambda_polys(out)) == (
+        XPoly(_lambda_polys(p)) * XPoly(_lambda_polys(q)) * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(int_polys, zero_heavy))
+@example([])
+@example([[0]])
+@example([[1, 0], [], [0, 0]])
+def test_trimmed_is_the_canonical_form_of_the_tower(p):
+    # the int tuples verify compares are those an XPoly holds
+    assert _trimmed(p) == tuple(c.coeffs for c in XPoly(_lambda_polys(p)).coeffs)
 
 
 @settings(max_examples=40, deadline=None)
