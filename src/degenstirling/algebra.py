@@ -16,17 +16,16 @@ polynomial in x and l is a list over the degree in x of int lists in l
 ([[1], [0, -2]] is 1 - 2 l x), and a series in t is the list of its
 entries n! [t^n].  _cleared and _lambda_polys cross between the tower
 and the format over one common denominator, _trimmed is the canonical
-form in which verify compares them, _horner reads them at a rational
-point, _convolve is entry n of a product of series, and _degenerate_exp
-gives the entries (b)_{n,l}.
+form in which verify compares them, and _horner reads them at a rational
+point.  _mac, out += scale p q in place, is the one product; _sum_products
+sizes one output for _mul, _convolve (entry n of a product of series) and
+_degenerate_exp (the entries (b)_{n,l}) and multiplies every term into it.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
 from math import comb, lcm
 
 __all__ = [
@@ -366,15 +365,8 @@ def _horner(coeffs: list, p: int, q: int) -> int:
     return acc
 
 
-def _add(p: list, q: list) -> list:
-    return [[u + v for u, v in zip_longest(a, b, fillvalue=0)]
-            for a, b in zip_longest(p, q, fillvalue=())]
-
-
-def _mul(p: list, q: list, scale: int = 1) -> list:
-    """scale p q, skipping the zero entries of p: nearly half in verify."""
-    width = max(map(len, p), default=0) + max(map(len, q), default=0) - 1
-    out = [[0] * width for _ in range(len(p) + len(q) - 1)]
+def _mac(out: list, p: list, q: list, scale: int = 1) -> None:
+    """out += scale p q in place, skipping the zero entries of p: nearly half in verify."""
     for i, a in enumerate(p):
         for s, u in enumerate(a):
             if u:
@@ -383,19 +375,33 @@ def _mul(p: list, q: list, scale: int = 1) -> list:
                     row = out[j]
                     for t, v in enumerate(b, s):
                         row[t] += u * v
+
+
+def _sum_products(terms: list) -> list:
+    """sum scale p q over the (scale, p, q) of terms: one output with room for
+    every row and entry of each product, and _mac multiplies each into it."""
+    width = max([max(map(len, p), default=0) + max(map(len, q), default=0) for _, p, q in terms])
+    out = [[0] * (width - 1) for _ in range(max([len(p) + len(q) for _, p, q in terms]) - 1)]
+    for scale, p, q in terms:
+        _mac(out, p, q, scale)
     return out
 
 
+def _mul(p: list, q: list, scale: int = 1) -> list:
+    return _sum_products([(scale, p, q)])
+
+
 def _convolve(a: list, b: list, n: int) -> list:
-    """sum_k C(n, k) a_k b_{n-k}: entry n of the product of two series."""
-    return reduce(_add, (_mul(a[k], b[n - k], comb(n, k)) for k in range(n + 1)))
+    """sum_k C(n, k) a_k b_{n-k}: entry n of the product of two series, each
+    of its n + 1 terms multiplied into one output."""
+    return _sum_products([(comb(n, k), a[k], b[n - k]) for k in range(n + 1)])
 
 
 def _degenerate_exp(base: list, order: int) -> list:
-    """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} (b - (n-1) l)."""
+    """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} b + (1 - n) l (b)_{n-1,l}."""
     if not (isinstance(order, int) and order >= 0):
         raise ValueError("order must be a nonnegative integer")
     out = [[[1]]]
     for n in range(1, order + 1):
-        out.append(_mul(out[-1], _add(base, [[0, 1 - n]])))
+        out.append(_sum_products([(1, base, out[-1]), (1 - n, [[0, 1]], out[-1])]))
     return out

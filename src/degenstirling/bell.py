@@ -31,20 +31,18 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import count
-from math import perm
+from math import comb, perm
 
 from .algebra import (
     XPoly,
-    _add,
     _cleared,
-    _convolve,
     _degenerate_exp,
     _lambda_polys,
-    _mul,
     _got,
     _require_at_least,
     _require_positive,
     _require_rs,
+    _sum_products,
     as_rational,
 )
 from . import stirling
@@ -82,8 +80,8 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
     form_a = sum_k C(n,k) (-l)_{n-k,l} (x phi_k^(r+1) + r phi_k^(r))
     form_b = sum_k C(n,k) (r (-l)_{k,l} + x (1-l)_{k,l}) phi_{n-k}^(r)
 
-    with (-l)_{j,l} = j! (-l)^j.  Both are binomial convolutions of series
-    entries, built in algebra's int (x, l) lists like serieslab's products.
+    with (-l)_{j,l} = j! (-l)^j, in algebra's int (x, l) lists: each term's
+    two products are multiplied by algebra._mac straight into its form.
     """
     _require_at_least("n", n, 0)
     _require_at_least("r", r, 0)
@@ -97,8 +95,10 @@ def r_bell_recurrence(n: int, r: int) -> tuple[XPoly, XPoly]:
 def _r_bell_forms(n: int, r: int, phi: list, phi_next: list) -> tuple[list, list]:
     """r_bell_recurrence in int (x, l) lists, of the rows phi_k^(r), phi_k^(r+1), k <= n."""
     neg, one_minus = _degenerate_exp([[0, -1]], n), _degenerate_exp([[1, -1]], n)
-    form_a = _convolve(neg, [_add([[], *q], _mul(p, [[r]])) for p, q in zip(phi, phi_next)], n)
-    form_b = _convolve([_add(_mul(a, [[r]]), [[], *b]) for a, b in zip(neg, one_minus)], phi, n)
+    form_a = _sum_products([t for k in range(n + 1) for t in (
+        (comb(n, k), neg[n - k], [[], *phi_next[k]]), (comb(n, k) * r, neg[n - k], phi[k]))])
+    form_b = _sum_products([t for k in range(n + 1) for t in (
+        (comb(n, k) * r, neg[k], phi[n - k]), (comb(n, k), [[], *one_minus[k]], phi[n - k]))])
     return form_a, form_b
 
 

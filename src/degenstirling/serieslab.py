@@ -16,21 +16,22 @@ tower of tests/series_tower.py, and compare the two.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import accumulate, islice, repeat
 from math import factorial
 
 from .algebra import (
     XPoly,
-    _cleared,
     _convolve,
     _degenerate_exp,
     _lambda_polys,
+    _mul,
     _got,
     _require_at_least,
     _trimmed,
 )
 from .bell import bell_rs_poly, r_bell_poly
-from .stirling import _basis_expand, falling_basis_poly, stirling2_degenerate
+from .stirling import _basis_expand, stirling2_degenerate
 
 __all__ = [
     "Mismatch",
@@ -129,7 +130,7 @@ def rr_egf_check(r: int, order: int = 10) -> CheckReport:
     falling basis, substitute x^k for each (x)_k, and compare with the
     balanced Bell polynomial row."""
     _require_at_least("r", r, 1)
-    series = _degenerate_exp(_cleared(falling_basis_poly(r).coeffs)[0], order)
+    series = _degenerate_exp(reduce(_mul, ([[-i], [1]] for i in range(r)), [[1]]), order)
     # sum c_k (x)_k read as sum c_k x^k: the coherent-state expectation,
     # where (a+)^k a^k contributes |z|^2k = x^k
     rows = ([c.coeffs for c in bell_rs_poly(n, r, r).coeffs] for n in range(order + 1))

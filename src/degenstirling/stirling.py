@@ -40,10 +40,9 @@ from .algebra import (
     X,
     XPoly,
     _LP_ZERO,
-    _add,
     _cleared,
     _lambda_polys,
-    _mul,
+    _mac,
     _require_at_least,
     _require_rs,
     falling_scalar,
@@ -201,13 +200,17 @@ class Family(namedtuple("Family", "params least_n factors basis check",
         return XPoly(_lambda_polys(self._int_polynomial(n, *params)))
 
     def _int_polynomial(self, n: int, *params) -> list:
-        """polynomial(n, *params) as an int (x, l) list."""
+        """polynomial(n, *params) as an int (x, l) list: each linear piece x + a
+        absorbed into p in place, then -d l times the factor's start."""
         p = [[1]]
         for c, depth, d in self.factors_for(n, *params):
-            piece = [[1]]
+            start = p[:]  # rows are replaced below, never changed
             for a in range(c, c - depth, -1):
-                piece = _mul(piece, [[a], [1]])
-            p = _mul(p, _add(piece, [[0, -d]]))
+                p.insert(0, [0] * len(p[0]))
+                for i in range(len(p) - 1):
+                    p[i] = [u + a * v for u, v in zip(p[i], p[i + 1])]
+            p = [[*row, 0] for row in p]
+            _mac(p, [[0, -d]], start)
         return p
 
 

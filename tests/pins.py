@@ -59,6 +59,12 @@ PINS = [
     # bound, read shapes that the series checks never built
     ("verify --suite dobinski --max-s 1",
      "b5fa140b9c5f780e98f38de59adbab4ecb9320ecf5ffe3723ad725b4999e1835"),
+    # the series lab's products and the shifted-Bell recurrence's forms at
+    # sizes that the other pins do not reach
+    ("verify --suite egf --order 12",
+     "4d08c42fd3678c635c7d5c9e1724d196d527b2cd5f16bbb57f38ecba596f495b"),
+    ("verify --suite recurrence --max-n 8 --max-r 5",
+     "fda7ca745c83ee5a1ec5a78820a18bc244e0376181129069e30249c19a105a2c"),
     # the API-only series, which no CLI command reaches
     (API_SERIES,
      "658db1d6859dd4d47f83ba5d5bdc61d565fbac6f9a58e75a7d1e622ed2b6862b"),

@@ -892,6 +892,46 @@ def test_verify_sees_a_wrong_row_of_every_family(capsys, monkeypatch, name, muta
     assert json.loads(out)["pass"] is (code == 0)
 
 
+# The probe past the kernel: verify --order 6 must also exit 1 where a row
+# that family_row does not build is wrong.  "newton-row" adds 1 to entry 1 of
+# every n = 3 stirling.newton_row row, "diagonal-row" adds 1 to the constant
+# term of entry 1 of every n = 3 weyl.diagonal_row row, and "bell-perm" makes
+# bell's own copy of the stirling-rs factor list wrong: math.perm reads every
+# shift one place higher.  A case that no verify check sees would go in
+# EXTRA_ROUTE_GAPS, and a new gap fails this test.
+EXTRA_ROUTE_GAPS = set()
+
+
+def _bumped_at_n3(real, n_at, bump):
+    def bumped(*args, **kwargs):
+        row = real(*args, **kwargs)
+        if args[n_at] == 3:
+            row = list(row)
+            row[1] = bump(row[1])
+        return row
+    return bumped
+
+
+@pytest.mark.parametrize("mutation", ["newton-row", "diagonal-row", "bell-perm"])
+def test_verify_sees_a_wrong_row_past_the_kernel(capsys, monkeypatch, mutation):
+    if mutation == "newton-row":
+        monkeypatch.setattr(stirling, "newton_row",
+                            _bumped_at_n3(stirling.newton_row, 1, lambda c: c + 1))
+    elif mutation == "diagonal-row":
+        monkeypatch.setattr(weyl, "diagonal_row", _bumped_at_n3(
+            weyl.diagonal_row, 0, lambda c: [c[0] + 1, *c[1:]] if c else [1]))
+    else:
+        real_perm = bell.perm
+        monkeypatch.setattr(bell, "perm", lambda m, k: real_perm(m + 1, k))
+    stirling.family_row.cache_clear()
+    try:
+        code, out, err = run(capsys, ["verify", "--order", "6"])
+    finally:
+        stirling.family_row.cache_clear()
+    assert (code, err) == (0 if mutation in EXTRA_ROUTE_GAPS else 1, "")
+    assert json.loads(out)["pass"] is (code == 0)
+
+
 def test_a_passing_verify_builds_few_polynomials(capsys, monkeypatch):
     # every suite of verify --order 6, each from a cold family_row: the
     # oracles, egf and recurrence checks compare int rows and build no Poly

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenstirling import serieslab
-from degenstirling.algebra import LAMBDA, X, XPoly, _mul, _trimmed
-from degenstirling.bell import bell_rs_poly
+from degenstirling import algebra, bell, serieslab
+from degenstirling.algebra import LAMBDA, X, XPoly, _cleared, _mul, _trimmed
+from degenstirling.bell import bell_rs_poly, r_bell_poly
 from degenstirling.serieslab import (
     CheckReport,
     Mismatch,
@@ -164,6 +164,30 @@ def test_lab_exp_matches_the_tower(data):
     small = st.lists(st.lists(st.integers(-2, 2), max_size=2), max_size=2)
     u = [[], *data.draw(int_series(order, small))[1:]]
     assert as_series(serieslab._exp(u)) == series_exp(as_series(u))
+
+
+def test_series_products_multiply_every_term_into_one_output(monkeypatch):
+    # a product, a convolution entry, a degenerate exponential step and the
+    # recurrence's forms each build one output that algebra._mac multiplies
+    # every term into: no _mul matrix per term
+    def refused(*args):
+        raise RuntimeError("_mul called")
+
+    for module in (algebra, serieslab, bell):
+        monkeypatch.setattr(module, "_mul", refused, raising=False)
+    a = [[[1]], [[0, 2], [1]], [[-1], [], [0, 0, 3]], [[0], [0, 1]]]
+    b = [[[2]], [[1]], [[0, 1], [1, -1]], []]
+    assert as_series(serieslab._product(a, b)) == as_series(a) * as_series(b)
+    u = [[], [[0, 1], [1]], [[1], [0, -2]], [[], [], [2]]]
+    assert as_series(serieslab._exp(u)) == series_exp(as_series(u))
+    for base in ([[1]], [[0, -1]], [[1, -1]], [[0], [1, 2]], []):
+        assert as_series(algebra._degenerate_exp(base, 5)) == degenerate_exp_series(
+            XPoly(_lambda_polys(base)), 5)
+    for n, r in ((0, 0), (2, 0), (3, 1), (4, 2)):
+        phi, phi_next = ([_cleared(r_bell_poly(k, s).coeffs)[0] for k in range(n + 1)]
+                         for s in (r, r + 1))
+        forms = bell._r_bell_forms(n, r, phi, phi_next)
+        assert [XPoly(_lambda_polys(form)) for form in forms] == [r_bell_poly(n + 1, r)] * 2
 
 
 def test_lab_validates_the_order():
