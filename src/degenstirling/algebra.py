@@ -95,6 +95,11 @@ def _require_rs(r, s):
         raise ValueError(f"need integers r >= s >= 1, got r={_got(r)}, s={_got(s)}")
 
 
+def _require_order(order):
+    if not (isinstance(order, int) and order >= 0):
+        raise ValueError("order must be a nonnegative integer")
+
+
 def falling_scalar(a, k: int):
     """Classical falling factorial a(a-1)...(a-k+1); empty product is 1."""
     out = 1
@@ -366,11 +371,11 @@ def _horner(coeffs: list, p: int, q: int) -> int:
 
 
 def _mac(out: list, p: list, q: list, scale: int = 1) -> None:
-    """out += scale p q in place, skipping the zero entries of p: nearly half in verify."""
+    """out += scale p q in place, skipping zero entries of scale p (all at scale 0)."""
     for i, a in enumerate(p):
         for s, u in enumerate(a):
+            u *= scale
             if u:
-                u *= scale
                 for j, b in enumerate(q, i):
                     row = out[j]
                     for t, v in enumerate(b, s):
@@ -399,8 +404,7 @@ def _convolve(a: list, b: list, n: int) -> list:
 
 def _degenerate_exp(base: list, order: int) -> list:
     """e_l^b(t): the entries (b)_{n,l} = (b)_{n-1,l} b + (1 - n) l (b)_{n-1,l}."""
-    if not (isinstance(order, int) and order >= 0):
-        raise ValueError("order must be a nonnegative integer")
+    _require_order(order)
     out = [[[1]]]
     for n in range(1, order + 1):
         out.append(_sum_products([(1, base, out[-1]), (1 - n, [[0, 1]], out[-1])]))

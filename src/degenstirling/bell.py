@@ -20,7 +20,7 @@ decide.  Each coefficient multiplies math.perm(k + c, s), computed in C,
 of nonnegative ints; algebra.falling_scalar remains the general helper, for
 Fractions and negative ints.  The balanced series dobinski_rr is the s = r
 case of dobinski_eval, and the Gamma-ratio series gamma_formula_classical
-its (x, l) = (1, 0) case, summed by the same code from another start index;
+its (x, l) = (1, 0) case, summed by the same code from the same start index;
 verify sums each balanced series once for both checks that read it.  The
 series keeps its own copy of the stirling-rs factor list, so a wrong
 registry list fails verify's dobinski-series checks.
@@ -170,7 +170,8 @@ def _factored_start(x: Fraction, factor_count: int, depth: int, drift: Fraction)
       2 a ((k+1)(g e + d))^factor_count <= b (k+1) ((k+1-depth)(g e - d))^factor_count.
 
     g is math.perm(k, depth): k >= depth >= 1, so it is the falling factorial
-    of nonnegative ints that algebra.falling_scalar also gives.
+    of nonnegative ints that algebra.falling_scalar also gives.  It is the
+    start rule of every Dobinski series, Gamma's too (shifts >= 0, drift 0).
     """
     a, b = abs(x.numerator), x.denominator
     d, e = drift.numerator, drift.denominator
@@ -211,10 +212,9 @@ def _combine_with_exp(num: int, tail: int, den: int, used: int,
 
 
 def _dobinski_series(n: int, r: int, s: int, x: Fraction, lam: Fraction,
-                     tol: Fraction, k0: int) -> DobinskiResult:
-    """The Dobinski series of dobinski_eval for validated arguments, summed
-    from the caller's start index k0 on; dobinski_eval and
-    gamma_formula_classical differ only in the k0 they pass."""
+                     tol: Fraction) -> DobinskiResult:
+    """The Dobinski series of dobinski_eval for validated arguments, from
+    _factored_start's index on; gamma_formula_classical is its (1, 0) case."""
     u, v = lam.numerator, lam.denominator
     # factor j is (k + shift)_s v - drop, with l = u/v; the shifts ascend,
     # so each distinct falling factorial is computed once per term (at
@@ -230,6 +230,7 @@ def _dobinski_series(n: int, r: int, s: int, x: Fraction, lam: Fraction,
             out *= fall - drop
         return out
 
+    k0 = _factored_start(x, n, s, n * abs(lam))
     series = _sum_series(coeff, x.numerator, x.denominator, v ** n, k0,
                          tol.numerator, 6 * tol.denominator)
     return _combine_with_exp(*series, x, tol)
@@ -249,7 +250,7 @@ def dobinski_eval(n: int, r: int, s: int, x, lam, tol) -> DobinskiResult:
     tol = as_rational(tol)
     _require_positive("x", x)
     _require_positive("tol", tol)
-    return _dobinski_series(n, r, s, x, lam, tol, _factored_start(x, n, s, n * abs(lam)))
+    return _dobinski_series(n, r, s, x, lam, tol)
 
 
 def dobinski_rr(k: int, r: int, x, lam, tol) -> DobinskiResult:
@@ -276,17 +277,10 @@ def gamma_formula_classical(n: int, r: int, s: int, tol) -> DobinskiResult:
     prefactor cancels and every term is an integer over k!.  Grouped by i,
     prod_{l=1..s} prod_{i<n} (k-l+1+i(r-s)) = prod_{j=1..n} (k+(j-1)(r-s))_s,
     dobinski_eval's coefficient at l = 0: this is the Dobinski series at
-    (x, l) = (1, 0), summed by the same code from its own start index."""
+    (x, l) = (1, 0), summed by the same code from the same start index."""
     _require_at_least("n", n, 1)
     if not (isinstance(r, int) and isinstance(s, int) and r > s >= 1):
         raise ValueError(f"need integers r > s >= 1, got r={_got(r)}, s={_got(s)}")
     tol = as_rational(tol)
     _require_positive("tol", tol)
-
-    # for k >= s all q_kl are positive and each rising-factorial ratio is at
-    # most (1 + 1/(k-s+1))^n, giving the decreasing majorant
-    # (k-s+2)^(s n) / ((k+1) (k-s+1)^(s n)); start where it is <= 1/2
-    k0 = s
-    while 2 * (k0 - s + 2) ** (s * n) > (k0 + 1) * (k0 - s + 1) ** (s * n):
-        k0 += 1
-    return _dobinski_series(n, r, s, Fraction(1), Fraction(0), tol, k0)
+    return _dobinski_series(n, r, s, Fraction(1), Fraction(0), tol)

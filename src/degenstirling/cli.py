@@ -37,8 +37,8 @@ from itertools import islice
 
 from . import bell, serieslab, stirling, weyl
 from .algebra import (
-    LambdaPoly, XPoly, _cleared, _horner, _require_at_least, _require_positive, _trimmed,
-    rational_str,
+    LambdaPoly, XPoly, _cleared, _horner, _require_at_least, _require_order, _require_positive,
+    _trimmed, rational_str,
 )
 
 __all__ = ["main", "entry", "canonical_json"]
@@ -357,8 +357,7 @@ def cmd_verify(args) -> int:
     _require_at_least("--max-s", args.max_s, 1)
     # every suite refuses tol <= 0 and order < 0, not only the one that reads it
     _require_positive("tol", args.tol)
-    if not args.order >= 0:
-        raise ValueError("order must be a nonnegative integer")
+    _require_order(args.order)
     wanted = _SUITES if args.suite == "all" else (args.suite,)
     checks = [check for name in wanted for check in _SUITES[name](args)]
     if not checks:

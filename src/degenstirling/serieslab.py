@@ -28,6 +28,7 @@ from .algebra import (
     _mul,
     _got,
     _require_at_least,
+    _require_order,
     _trimmed,
 )
 from .bell import bell_rs_poly, r_bell_poly
@@ -101,8 +102,7 @@ def _stirling_egf_report(k: int, pw: list, order: int) -> CheckReport:
 
 def stirling_egf_check(k: int, order: int = 10) -> CheckReport:
     """Coefficient of t^n in (e_l(t) - 1)^k / k! against S(n, k)/n!."""
-    if not (isinstance(order, int) and order >= 0):
-        raise ValueError("order must be a nonnegative integer")
+    _require_order(order)
     if not (isinstance(k, int) and 0 <= k <= order):
         raise ValueError(f"need 0 <= k <= order, got {_got(k)}")
     return _stirling_egf_report(k, next(islice(_egf_powers(order), k, None)), order)

@@ -296,9 +296,9 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
 
     the k-th Newton difference at 0 of the defining product over k!, which
     picks out the coefficient of (x)_k because sum_p (-1)^(k-p) C(k, p)
-    (p)_j = k! when j = k and 0 otherwise.  One call reads, and costs, the
-    whole newton_row("stirling-rs", n, r, s, upto=max(k, n*s)); its factor
-    list is checked by the Weyl engine, the series lab, bell's Dobinski
+    (p)_j = k! when j = k and 0 otherwise.  Entry k needs only P(0..k), so one
+    call reads newton_row("stirling-rs", n, r, s, upto=min(k, n*s + 1))[-1]; its
+    factor list is checked by the Weyl engine, the series lab, bell's Dobinski
     series and test_family_polynomials_are_the_documented_products.
 
     Returns the canonical zero for k > n*s, and checks that the formula
@@ -306,10 +306,10 @@ def stirling_rs_degenerate(n: int, k: int, r: int, s: int) -> LambdaPoly:
     """
     _require_at_least("k", k, 0)
     _require_rs(r, s)  # before n * s is formed
-    row = newton_row("stirling-rs", n, r, s, upto=max(k, n * s))
-    if not all(c.is_zero() for c in row[n * s + 1:]):
+    entry = newton_row("stirling-rs", n, r, s, upto=min(k, n * s + 1))[-1]
+    if k > n * s and entry:
         raise ArithmeticError(_NOT_VANISHING)
-    return row[k]
+    return entry
 
 
 def stirling_rr_degenerate(n: int, k: int, r: int) -> LambdaPoly:

@@ -211,6 +211,19 @@ def test_gamma_series_names_a_tolerance_past_the_int_digit_limit():
         gamma_formula_classical(2, 3, 1, -10 ** 5000)
 
 
+@pytest.mark.parametrize("tol", [Fraction(1, 10 ** 300), Fraction(1, 2), Fraction(10),
+                                 Fraction(1000), Fraction(10 ** 9)])
+def test_gamma_series_is_the_dobinski_series_at_one_and_zero(tol):
+    # one start index for both: at a loose tolerance the sum stops at it,
+    # so a start rule of Gamma's own would change terms_used and the value
+    for n in range(1, 7):
+        for r in range(2, 7):
+            for s in range(1, r):
+                res = gamma_formula_classical(n, r, s, tol)
+                assert res == dobinski_eval(n, r, s, 1, 0, tol)
+                assert res.tail_bound <= tol
+
+
 @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1), Fraction(5, 2), Fraction(7),
                                Fraction(40, 3)])
 def test_factored_start_is_the_first_index_of_the_fraction_majorant(x):

@@ -935,14 +935,13 @@ def test_verify_sees_a_wrong_row_past_the_kernel(capsys, monkeypatch, mutation):
 def test_a_passing_verify_builds_few_polynomials(capsys, monkeypatch):
     # every suite of verify --order 6, each from a cold family_row: the
     # oracles, egf and recurrence checks compare int rows and build no Poly
-    # (LambdaPoly or XPoly) of their own; 1,328 are left, 2,790 before.  They
+    # (LambdaPoly or XPoly) of their own; 1,237 are left, 2,790 before.  They
     # are family_row's BasisCoeffs entries (717), newton_row's public
     # LambdaPolys (316), and the Poly-returning readers that verify keeps
     # calling so that a wrong row patched there fails it: bell.r_bell_poly
     # and bell_rs_poly (through serieslab too), and the dobinski suite's
     # degenerate_product, read by weyl.extract_stirling (about 190 in all);
-    # the rest is rr-egf's falling_basis_poly and the dobinski suite's XPoly
-    # of a newton_row.
+    # the rest is the dobinski suite's XPoly of a newton_row (12).
     calls = []
     real = algebra.Poly.__init__
 

@@ -329,6 +329,22 @@ def test_rs_nonvanishing_beyond_ns_raises(monkeypatch):
         stirling_rs_degenerate(1, 2, 1, 1)
 
 
+def test_rs_entry_far_past_the_row_reads_no_further_than_n_s_plus_one(monkeypatch):
+    # entry k needs only P(0..k), and past n*s one difference stands for them
+    # all, so k = 10^5 builds a table of at most n*s + 2 values, not k + 1
+    uptos = []
+    real = stirling.newton_row
+
+    def recorded(*args, upto=None):
+        uptos.append(upto)
+        assert upto <= 2 * 2 + 1  # before the table is built, not after it
+        return real(*args, upto=upto)
+
+    monkeypatch.setattr(stirling, "newton_row", recorded)
+    assert stirling_rs_degenerate(2, 10 ** 5, 3, 2).is_zero()
+    assert len(uptos) == 1
+
+
 def test_rs_validates_arguments():
     with pytest.raises(ValueError):
         stirling_rs_degenerate(0, 0, 1, 1)
